@@ -6,7 +6,6 @@ Exit codes for `recognize`: 0 accepted match, 1 no match, 2 error.
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,12 +29,7 @@ def _log(msg: str):
 
 
 def _load_config(path: str | None) -> PipelineConfig:
-    if path:
-        return PipelineConfig.from_json(Path(path).read_text())
-    cfg = PipelineConfig()
-    if "TUNESCOUT_SEED" in os.environ:
-        cfg = replace(cfg, seed=int(os.environ["TUNESCOUT_SEED"]))
-    return cfg
+    return PipelineConfig.from_json(Path(path).read_text() if path else "{}")
 
 
 def _read_audio(path: str, raw_pcm: bool) -> PcmStream:
@@ -151,7 +145,8 @@ def cmd_recognize(args) -> int:
 def cmd_stream(args) -> int:
     cfg = _load_config(args.config)
     if args.gate_config:
-        gate = det_mod.GateConfig(**json.loads(Path(args.gate_config).read_text()))
+        gate = pipe_mod.config_from_json(det_mod.GateConfig, Path(args.gate_config).read_text(),
+                                         "gate config")
         cfg = replace(cfg, gate=gate)
     db = store_mod.load_db(Path(args.db).read_bytes(), coverage=cfg.index.coverage)
     emb = weights_io.load_embedder(Path(args.weights).read_bytes())

@@ -62,10 +62,6 @@ class DetectorTopology:
         return self.n_layers * per_conv + head
 
 
-def parameter_count(topo: DetectorTopology) -> int:
-    return topo.parameter_count()
-
-
 @dataclass
 class DetectorWeights:
     topology: DetectorTopology
@@ -91,10 +87,6 @@ def init_weights(topo: DetectorTopology, seed: int = 0) -> DetectorWeights:
     t["fc2_w"] = rng.normal(0, math.sqrt(2.0 / topo.dense_hidden), (topo.dense_hidden, 1)).astype(np.float32)
     t["fc2_b"] = np.zeros(1, dtype=np.float32)
     return DetectorWeights(topology=topo, tensors=t)
-
-
-def trainable_names(w: DetectorWeights) -> list[str]:
-    return [n for n in sorted(w.tensors) if not n.endswith(("_bn_mean", "_bn_var"))]
 
 
 def forward_batch(x: np.ndarray, w: DetectorWeights, train: bool = False):
@@ -346,7 +338,6 @@ class DetectorTrainConfig:
     batch_size: int = 32
     lr: float = 1e-3
     seed: int = 0
-    eval_fraction: float = 0.0  # reserved for callers; trainer does not split
 
 
 def train_detector(clips, labels, topo: DetectorTopology | None = None,

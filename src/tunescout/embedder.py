@@ -79,9 +79,6 @@ class EmbedderTopology:
         return total + self.branches * per_branch
 
 
-TINY = EmbedderTopology(conv_channels=(8, 16, 16, 32), branch_hidden=16)
-
-
 @dataclass
 class EmbedderWeights:
     topology: EmbedderTopology

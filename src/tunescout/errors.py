@@ -39,3 +39,7 @@ class DbBoundsError(DbError):
 
 class WeightsFormatError(TunescoutError):
     """Malformed weight file."""
+
+
+class ConfigError(TunescoutError):
+    """Configuration file with unknown keys or sections of the wrong type."""

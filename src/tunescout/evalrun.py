@@ -7,13 +7,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import corpus as corpus_mod
-from . import match as match_mod
 from .corpus import CorpusConfig, MusicRegion, QuerySpec
 from .detector import DetectorWeights, GateConfig, batch_predictions, smooth_and_gate
 from .embedder import EmbedderWeights
 from .frontend import FrontendConfig, log_mel_frames
 from .index import SearchStats
-from .pipeline import PipelineConfig, fingerprint_phases
+from .pipeline import PipelineConfig, best_of_phases, query_phases
+from .store import Database
 
 
 @dataclass
@@ -34,29 +34,23 @@ def run_queries(db, specs: list[QuerySpec], corpus_cfg: CorpusConfig,
                 weights: EmbedderWeights, cfg: PipelineConfig,
                 holdout_cfg: CorpusConfig | None = None,
                 stats: SearchStats | None = None) -> list[QueryOutcome]:
-    """Match every query with both scorers over identical candidate sets."""
+    """Match every query with both scorers over identical candidate sets.
+
+    Each query is fingerprinted once and matched twice: against db
+    (adaptive radii) and against a view of it with unit radii (the naive
+    fixed-radius kernel). A best score of 0 counts as no answer (song -1).
+    """
+    naive_db = Database(db.songs, db.index, np.ones(db.index.n_points))
     outcomes = []
-    mcfg = cfg.matcher
     for spec in specs:
         wave = corpus_mod.query_audio(corpus_cfg, spec, holdout_cfg)
-        frames = log_mel_frames(corpus_mod.to_pcm(wave, corpus_cfg.sample_rate), cfg.frontend)
-        best_a = (-1, 0.0, -1)
-        best_n = (-1, 0.0)
-        for fps in fingerprint_phases(frames, weights, mcfg.query_phases):
-            hits = [db.index.search_topk(q, mcfg.top_k, stats=stats) for q in fps]
-            candidates = match_mod.collect_candidates(hits, mcfg.max_candidates)
-            for cand in candidates:
-                try:
-                    sa = match_mod.score_sequence(fps, cand, db.index, db.spans, db.radii)
-                    sn = match_mod.naive_score_sequence(fps, cand, db.index, db.spans)
-                except ValueError:
-                    continue
-                if sa > best_a[1]:
-                    best_a = (cand.song_id, sa, cand.start_offset)
-                if sn > best_n[1]:
-                    best_n = (cand.song_id, sn)
-        outcomes.append(QueryOutcome(spec, best_a[0], best_a[1], best_a[2],
-                                     best_n[0], best_n[1]))
+        phases = query_phases(corpus_mod.to_pcm(wave, corpus_cfg.sample_rate), weights, cfg)
+        a = best_of_phases(db, phases, cfg, stats)
+        n = best_of_phases(naive_db, phases, cfg)
+        outcomes.append(QueryOutcome(
+            spec,
+            a.song_id if a.score > 0 else -1, a.score, a.offset_s if a.score > 0 else -1,
+            n.song_id if n.score > 0 else -1, n.score))
     return outcomes
 
 
@@ -91,26 +85,6 @@ def precision_at_recall(rows: list[dict], target_recall: float) -> float:
     """Best precision among operating points reaching the target recall."""
     feasible = [r["precision"] for r in rows if r["recall"] >= target_recall]
     return max(feasible) if feasible else 0.0
-
-
-def accept_rates(outcomes: list[QueryOutcome], cfg: PipelineConfig) -> dict:
-    """Acceptance with the full adaptive rule (abs + gap as run by recognize)
-    split by query kind."""
-    counts = {"music_correct": 0, "music_total": 0, "music_accepted": 0,
-              "negative_accepted": 0, "negative_total": 0}
-    for o in outcomes:
-        accepted = o.adaptive_song >= 0 and o.adaptive_score > cfg.matcher.theta_abs
-        if o.is_music:
-            counts["music_total"] += 1
-            if accepted:
-                counts["music_accepted"] += 1
-                if o.adaptive_song == o.spec.song_id:
-                    counts["music_correct"] += 1
-        else:
-            counts["negative_total"] += 1
-            if accepted:
-                counts["negative_accepted"] += 1
-    return counts
 
 
 # --------------------------------------------------------- detector sweeps

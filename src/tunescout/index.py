@@ -149,28 +149,6 @@ def pq_decode(codes: np.ndarray, cb: PQCodebook) -> np.ndarray:
     return out
 
 
-@dataclass
-class QuantizedFingerprint:
-    partition_id: int
-    code: np.ndarray  # (M,) uint8
-    song_id: int = -1
-    offset_s: int = -1
-
-
-def encode(f: np.ndarray, part: PartitionerModel, cb: PQCodebook,
-           song_id: int = -1, offset_s: int = -1) -> QuantizedFingerprint:
-    """Quantize one fingerprint: nearest partition + PQ code of the residual."""
-    f = np.asarray(f, dtype=np.float32).ravel()
-    pid = int(part.assign(f)[0])
-    code = pq_encode(f - part.centroids[pid], cb)[0]
-    return QuantizedFingerprint(partition_id=pid, code=code, song_id=song_id, offset_s=offset_s)
-
-
-def decode(qf: QuantizedFingerprint, part: PartitionerModel, cb: PQCodebook) -> np.ndarray:
-    """Reconstruct the approximate fingerprint from its quantized form."""
-    return pq_decode(qf.code, cb)[0] + part.centroids[qf.partition_id]
-
-
 def compression_ratio(d: int, m: int) -> float:
     """Bytes of a float32 fingerprint over bytes of its PQ code."""
     return (d * 4) / m
@@ -288,17 +266,30 @@ class FingerprintIndex:
         ]
 
 
+def train_index_models(fingerprints: np.ndarray, p: int | None = None,
+                       m: int | None = None, seed: int = 0) -> tuple[PartitionerModel, PQCodebook]:
+    """Train the partitioner, then PQ on the residuals, over (n, d) float32
+    fingerprints in the order given. Defaults: P = ceil(sqrt(N)), M = d/8."""
+    n, d = fingerprints.shape
+    partitioner = train_partitioner(fingerprints, p or default_partition_count(n), seed=seed)
+    residuals = fingerprints - partitioner.centroids[partitioner.assign(fingerprints)]
+    codebook, _ = train_pq(residuals, m or max(1, d // 8), seed=seed)
+    return partitioner, codebook
+
+
+def encode_index(fingerprints: np.ndarray, song_ids: np.ndarray, offsets: np.ndarray,
+                 partitioner: PartitionerModel, codebook: PQCodebook,
+                 coverage: float = 0.02) -> FingerprintIndex:
+    """Assign each fingerprint to its partition and PQ-encode the residual."""
+    pids = partitioner.assign(fingerprints)
+    codes = pq_encode(fingerprints - partitioner.centroids[pids], codebook)
+    return FingerprintIndex(partitioner, codebook, codes, pids, song_ids, offsets, coverage)
+
+
 def build_index(fingerprints: np.ndarray, song_ids: np.ndarray, offsets: np.ndarray,
                 p: int | None = None, m: int | None = None, seed: int = 0,
                 coverage: float = 0.02) -> FingerprintIndex:
     """Train partitioner + PQ on the database fingerprints and encode them."""
     fingerprints = np.asarray(fingerprints, dtype=np.float32)
-    n, d = fingerprints.shape
-    p = p or default_partition_count(n)
-    m = m or max(1, d // 8)
-    partitioner = train_partitioner(fingerprints, p, seed=seed)
-    pids = partitioner.assign(fingerprints)
-    residuals = fingerprints - partitioner.centroids[pids]
-    codebook, _ = train_pq(residuals, m, seed=seed)
-    codes = pq_encode(residuals, codebook)
-    return FingerprintIndex(partitioner, codebook, codes, pids, song_ids, offsets, coverage)
+    models = train_index_models(fingerprints, p, m, seed)
+    return encode_index(fingerprints, song_ids, offsets, *models, coverage=coverage)

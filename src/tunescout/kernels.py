@@ -1,61 +1,25 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels in numpy.
 
-``pq_scan`` dispatches on the ``TUNESCOUT_NUMBA`` environment variable
-(set to ``0`` to force the numpy path); the jitted scan is ~30x faster
-because the table-gather loop does not vectorize well. Centroid assignment
-and k-NN radius computation always use the numpy path: both are dense
-matrix products where BLAS beats the jitted loops by ~5x (see
-benchmarks/bench_kernels.py, which times every variant).
+Centroid assignment and k-NN radii are chunked dense matrix products, so
+BLAS does the arithmetic while the (chunk, k) distance matrix stays small.
 """
-
-import os
 
 import numpy as np
 
-NUMBA_ENABLED = os.environ.get("TUNESCOUT_NUMBA", "1").lower() not in ("0", "false", "no")
 
-if NUMBA_ENABLED:
-    try:
-        from numba import njit, prange
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
+def pq_scan(lut, codes):
+    """Asymmetric distances: sum per-subspace table entries for each code row.
 
-
-# ---------------------------------------------------------------- pq scan
-
-def _pq_scan_np(lut, codes):
-    # lut: (M, 256) float32 per-subspace distance table, codes: (n, M) uint8
+    lut: (M, 256) float32 per-subspace distance table, codes: (n, M) uint8.
+    """
     m = lut.shape[0]
     return lut[np.arange(m), codes.astype(np.intp)].sum(axis=1, dtype=np.float32)
 
 
-if NUMBA_ENABLED:
-
-    @njit(cache=True, parallel=True)
-    def _pq_scan_nb(lut, codes):
-        n, m = codes.shape
-        out = np.empty(n, dtype=np.float32)
-        for i in prange(n):
-            acc = np.float32(0.0)
-            for j in range(m):
-                acc += lut[j, codes[i, j]]
-            out[i] = acc
-        return out
-
-
-def pq_scan(lut, codes):
-    """Asymmetric distances: sum per-subspace table entries for each code row."""
-    if codes.shape[0] == 0:
-        return np.empty(0, dtype=np.float32)
-    if NUMBA_ENABLED:
-        return _pq_scan_nb(np.ascontiguousarray(lut), np.ascontiguousarray(codes))
-    return _pq_scan_np(lut, codes)
-
-
-# ------------------------------------------------------- centroid assignment
-
-def _assign_np(x, centroids):
-    # chunked ||x - c||^2 argmin; keeps the (chunk, k) matrix small
+def assign_nearest(x, centroids):
+    """Nearest centroid index and squared distance for each row of x."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    centroids = np.ascontiguousarray(centroids, dtype=np.float64)
     n = x.shape[0]
     idx = np.empty(n, dtype=np.int64)
     d2 = np.empty(n, dtype=np.float64)
@@ -73,40 +37,15 @@ def _assign_np(x, centroids):
     return idx, d2
 
 
-if NUMBA_ENABLED:
+def knn_radius(points, song_ids, offsets, k, exclude_s=2):
+    """Distance to the k-th nearest neighbor for each point.
 
-    @njit(cache=True, parallel=True)
-    def _assign_nb(x, centroids):
-        n, d = x.shape
-        k = centroids.shape[0]
-        idx = np.empty(n, dtype=np.int64)
-        d2 = np.empty(n, dtype=np.float64)
-        for i in prange(n):
-            best = np.inf
-            bj = 0
-            for j in range(k):
-                acc = 0.0
-                for t in range(d):
-                    diff = x[i, t] - centroids[j, t]
-                    acc += diff * diff
-                if acc < best:
-                    best = acc
-                    bj = j
-            idx[i] = bj
-            d2[i] = best
-        return idx, d2
-
-
-def assign_nearest(x, centroids):
-    """Nearest centroid index and squared distance for each row of x."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    centroids = np.ascontiguousarray(centroids, dtype=np.float64)
-    return _assign_np(x, centroids)
-
-
-# ----------------------------------------------------------- k-NN radius
-
-def _knn_radius_np(points, song_ids, offsets, k, exclude_s):
+    Neighbors from the same song within exclude_s seconds are skipped so a
+    song's own temporal context does not count as density.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    song_ids = np.ascontiguousarray(song_ids, dtype=np.int64)
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     n = points.shape[0]
     out = np.empty(n, dtype=np.float64)
     p_sq = np.einsum("nd,nd->n", points, points)
@@ -124,40 +63,3 @@ def _knn_radius_np(points, song_ids, offsets, k, exclude_s):
         kth = np.partition(d, k - 1, axis=1)[:, k - 1]
         out[s : s + chunk] = kth
     return np.sqrt(out)
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True, parallel=True)
-    def _knn_radius_nb(points, song_ids, offsets, k, exclude_s):
-        n, d = points.shape
-        out = np.empty(n, dtype=np.float64)
-        for i in prange(n):
-            best = np.full(k, np.inf)
-            for j in range(n):
-                if song_ids[j] == song_ids[i] and abs(offsets[j] - offsets[i]) <= exclude_s:
-                    continue
-                acc = 0.0
-                for t in range(d):
-                    diff = points[i, t] - points[j, t]
-                    acc += diff * diff
-                if acc < best[k - 1]:
-                    pos = k - 1
-                    while pos > 0 and best[pos - 1] > acc:
-                        best[pos] = best[pos - 1]
-                        pos -= 1
-                    best[pos] = acc
-            out[i] = np.sqrt(best[k - 1])
-        return out
-
-
-def knn_radius(points, song_ids, offsets, k, exclude_s=2):
-    """Distance to the k-th nearest neighbor for each point.
-
-    Neighbors from the same song within exclude_s seconds are skipped so a
-    song's own temporal context does not count as density.
-    """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    song_ids = np.ascontiguousarray(song_ids, dtype=np.int64)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    return _knn_radius_np(points, song_ids, offsets, k, exclude_s)

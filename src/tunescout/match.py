@@ -97,15 +97,15 @@ def local_density(points: np.ndarray, song_ids: np.ndarray, offsets: np.ndarray,
     return np.maximum(r, radius_floor)
 
 
-def density_for_index(idx: FingerprintIndex, cfg: MatcherConfig) -> np.ndarray:
-    """Density radii over the quantized DB (decoded reconstructions)."""
-    return local_density(idx.decode_all(), idx.song_ids, idx.offsets,
-                         cfg.k_density, radius_floor=cfg.radius_floor)
+def score_sequence(query_fps: np.ndarray, candidate: SequenceCandidate,
+                   idx: FingerprintIndex, spans: dict[int, tuple[int, int]],
+                   radii: np.ndarray) -> float:
+    """Mean per-step similarity exp(-||q - x~||^2 / r^2) over all query steps.
 
-
-def _aligned_scores(query_fps: np.ndarray, candidate: SequenceCandidate,
-                    idx: FingerprintIndex, spans: dict[int, tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distances and global DB indices per aligned step (-1 = out of bounds)."""
+    Steps whose alignment falls outside the song contribute 0, so missing
+    evidence penalizes the score. Raises if no step aligns at all. Unit
+    radii give the fixed-radius baseline exp(-||q - x~||^2).
+    """
     t = len(query_fps)
     start, count = spans[candidate.song_id]
     g = np.full(t, -1, dtype=np.int64)
@@ -114,40 +114,12 @@ def _aligned_scores(query_fps: np.ndarray, candidate: SequenceCandidate,
         if 0 <= off < count:
             g[i] = start + off
     valid = g >= 0
-    d2 = np.full(t, np.inf)
-    if valid.any():
-        recon = idx.decode(g[valid])
-        d2[valid] = ((query_fps[valid] - recon) ** 2).sum(axis=1)
-    return d2, g
-
-
-def score_sequence(query_fps: np.ndarray, candidate: SequenceCandidate,
-                   idx: FingerprintIndex, spans: dict[int, tuple[int, int]],
-                   radii: np.ndarray) -> float:
-    """Mean per-step similarity exp(-||q - x~||^2 / r^2) over all query steps.
-
-    Steps whose alignment falls outside the song contribute 0, so missing
-    evidence penalizes the score. Raises if no step aligns at all.
-    """
-    d2, g = _aligned_scores(query_fps, candidate, idx, spans)
-    valid = g >= 0
     if not valid.any():
         raise ValueError("candidate alignment fully outside song bounds")
-    sims = np.zeros(len(query_fps))
+    d2 = ((query_fps[valid] - idx.decode(g[valid])) ** 2).sum(axis=1)
     r = radii[g[valid]]
-    sims[valid] = np.exp(-d2[valid] / (r * r))
-    return float(sims.mean())
-
-
-def naive_score_sequence(query_fps: np.ndarray, candidate: SequenceCandidate,
-                         idx: FingerprintIndex, spans: dict[int, tuple[int, int]]) -> float:
-    """Fixed-radius baseline: plain L2 kernel with r = 1 for every point."""
-    d2, g = _aligned_scores(query_fps, candidate, idx, spans)
-    valid = g >= 0
-    if not valid.any():
-        raise ValueError("candidate alignment fully outside song bounds")
-    sims = np.zeros(len(query_fps))
-    sims[valid] = np.exp(-d2[valid])
+    sims = np.zeros(t)
+    sims[valid] = np.exp(-d2 / (r * r))
     return float(sims.mean())
 
 
@@ -170,24 +142,20 @@ def adaptive_accept(scored: list[MatchResult], theta_abs: float = 0.40,
 
 def recognize(query_fps: np.ndarray, idx: FingerprintIndex,
               spans: dict[int, tuple[int, int]], radii: np.ndarray,
-              cfg: MatcherConfig | None = None, probes: int | None = None,
-              stats: SearchStats | None = None,
-              scorer: str = "adaptive") -> MatchResult:
+              cfg: MatcherConfig | None = None,
+              stats: SearchStats | None = None) -> MatchResult:
     """Full two-stage match: per-step ANN search, candidate voting,
     sequence scoring, adaptive acceptance."""
     cfg = cfg or MatcherConfig()
     query_fps = np.atleast_2d(np.asarray(query_fps, dtype=np.float32))
     if len(query_fps) == 0:
         raise ValueError("need at least one query fingerprint")
-    hits = [idx.search_topk(q, cfg.top_k, probes=probes, stats=stats) for q in query_fps]
+    hits = [idx.search_topk(q, cfg.top_k, stats=stats) for q in query_fps]
     candidates = collect_candidates(hits, cfg.max_candidates)
     scored = []
     for cand in candidates:
         try:
-            if scorer == "adaptive":
-                s = score_sequence(query_fps, cand, idx, spans, radii)
-            else:
-                s = naive_score_sequence(query_fps, cand, idx, spans)
+            s = score_sequence(query_fps, cand, idx, spans, radii)
         except ValueError:
             continue
         scored.append(MatchResult(song_id=cand.song_id, offset_s=cand.start_offset,

@@ -5,6 +5,7 @@ continuous-listening loop."""
 import dataclasses
 import json
 import os
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ from . import store as store_mod
 from .corpus import CorpusConfig, to_pcm
 from .detector import DetectorWeights, GateConfig, StreamingDetector, smooth_and_gate
 from .embedder import EmbedderTopology, EmbedderWeights, fingerprint_stream
+from .errors import ConfigError
 from .frontend import FrontendConfig, PcmStream, canonicalize, log_mel_frames
 from .match import MatcherConfig, MatchResult
 
@@ -59,19 +61,54 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineConfig":
-        raw = json.loads(text)
-        kwargs = dict(raw)
-        if "frontend" in raw:
-            kwargs["frontend"] = FrontendConfig(**raw["frontend"])
-        if "gate" in raw:
-            kwargs["gate"] = GateConfig(**raw["gate"])
-        if "matcher" in raw:
-            kwargs["matcher"] = MatcherConfig(**raw["matcher"])
-        if "index" in raw:
-            kwargs["index"] = IndexConfig(**raw["index"])
+        """Parse a serialized config; TUNESCOUT_SEED, when set, overrides the seed."""
+        cfg = config_from_json(cls, text, "config")
         if "TUNESCOUT_SEED" in os.environ:
-            kwargs["seed"] = int(os.environ["TUNESCOUT_SEED"])
-        return cls(**kwargs)
+            cfg = dataclasses.replace(cfg, seed=int(os.environ["TUNESCOUT_SEED"]))
+        return cfg
+
+
+def config_from_json(cls, text: str, where: str):
+    """Build a config dataclass, nested sections included, from JSON text.
+
+    Invalid JSON, unknown keys, and a value or section of the wrong type
+    raise ConfigError.
+    """
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{where} is not valid JSON: {e}") from e
+    return _config_section(cls, raw, where)
+
+
+def _config_section(cls, raw, where: str):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {type(raw).__name__}")
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(fields))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    kwargs = {}
+    for key, value in raw.items():
+        kind = fields[key]
+        if dataclasses.is_dataclass(kind):
+            value = _config_section(kind, value, key)
+        elif not _json_fits(kind, value):
+            raise ConfigError(f"{where}.{key}: {value!r} is not of type "
+                              f"{getattr(kind, '__name__', kind)}")
+        kwargs[key] = value
+    return cls(**kwargs)
+
+
+def _json_fits(kind, value) -> bool:
+    """Whether a parsed JSON value fits a scalar field annotation (int,
+    float, str, or a union such as int | None); an int fits a float."""
+    allowed = typing.get_args(kind) or (kind,)
+    if isinstance(value, bool):
+        return bool in allowed
+    if isinstance(value, int) and float in allowed:
+        return True
+    return isinstance(value, allowed)
 
 
 def fingerprint_pcm(pcm: PcmStream, weights: EmbedderWeights,
@@ -81,7 +118,7 @@ def fingerprint_pcm(pcm: PcmStream, weights: EmbedderWeights,
 
 
 def fingerprint_phases(frames: np.ndarray, weights: EmbedderWeights,
-                       n_phases: int = 4, hop: int = 100) -> list[np.ndarray]:
+                       n_phases: int = 4) -> list[np.ndarray]:
     """Fingerprint the same audio under several sub-hop window phases.
 
     A query recorded at an arbitrary moment is misaligned with the database's
@@ -90,6 +127,7 @@ def fingerprint_phases(frames: np.ndarray, weights: EmbedderWeights,
     hop/n_phases increments guarantees one hypothesis lands within
     hop/(2*n_phases) of the grid; the matcher keeps the best-scoring one.
     """
+    hop = weights.topology.hop_frames
     out = []
     for i in range(max(1, n_phases)):
         start = i * hop // max(1, n_phases)
@@ -161,12 +199,8 @@ def train_pipeline_embedder(corpus_cfg: CorpusConfig, cfg: PipelineConfig,
 def build_database_from_fingerprints(song_entries, cfg: PipelineConfig) -> store_mod.Database:
     """Train index models on the pooled fingerprints and assemble the DB."""
     all_fps = np.concatenate([f for _, f in song_entries]).astype(np.float32)
-    n, d = all_fps.shape
-    p = cfg.index.partitions or index_mod.default_partition_count(n)
-    m = cfg.index.subspaces or max(1, d // 8)
-    partitioner = index_mod.train_partitioner(all_fps, p, seed=cfg.seed)
-    pids = partitioner.assign(all_fps)
-    codebook, _ = index_mod.train_pq(all_fps - partitioner.centroids[pids], m, seed=cfg.seed)
+    partitioner, codebook = index_mod.train_index_models(
+        all_fps, cfg.index.partitions, cfg.index.subspaces, seed=cfg.seed)
     return store_mod.build_database(song_entries, partitioner, codebook,
                                     cfg.matcher, coverage=cfg.index.coverage)
 
@@ -185,11 +219,18 @@ def build_database_from_corpus(corpus_cfg: CorpusConfig, weights: EmbedderWeight
 
 # ------------------------------------------------------------- recognition
 
-def recognize_pcm(db: store_mod.Database, pcm: PcmStream, weights: EmbedderWeights,
-                  cfg: PipelineConfig, stats=None) -> MatchResult:
+def query_phases(pcm: PcmStream, weights: EmbedderWeights,
+                 cfg: PipelineConfig) -> list[np.ndarray]:
+    """A query's fingerprints under each of the matcher's window phases."""
     frames = log_mel_frames(canonicalize(pcm), cfg.frontend)
+    return fingerprint_phases(frames, weights, cfg.matcher.query_phases)
+
+
+def best_of_phases(db: store_mod.Database, phases: list[np.ndarray],
+                   cfg: PipelineConfig, stats=None) -> MatchResult:
+    """Match every phase hypothesis; keep the highest-scoring (first on ties)."""
     best: MatchResult | None = None
-    for fps in fingerprint_phases(frames, weights, cfg.matcher.query_phases):
+    for fps in phases:
         result = match_mod.recognize(fps, db.index, db.spans, db.radii,
                                      cfg.matcher, stats=stats)
         if best is None or result.score > best.score:
@@ -198,6 +239,11 @@ def recognize_pcm(db: store_mod.Database, pcm: PcmStream, weights: EmbedderWeigh
         raise ValueError("audio shorter than one fingerprint window")
     best.title = db.title_of(best.song_id)
     return best
+
+
+def recognize_pcm(db: store_mod.Database, pcm: PcmStream, weights: EmbedderWeights,
+                  cfg: PipelineConfig, stats=None) -> MatchResult:
+    return best_of_phases(db, query_phases(pcm, weights, cfg), cfg, stats)
 
 
 # ------------------------------------------------- continuous listening sim

@@ -17,13 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DbBoundsError, DbChecksumError, DbMagicError, DbVersionError
-from .index import FingerprintIndex, PartitionerModel, PQCodebook, pq_encode
+from .index import FingerprintIndex, PartitionerModel, PQCodebook, encode_index
 from .match import MatcherConfig, local_density
 
 MAGIC = b"NPDB"
 VERSION = 1
 N_SECTIONS = 6
 _HEADER = "<4sHHHIIQ"
+# header, section table and trailing CRC32
+_FRAME_BYTES = struct.calcsize(_HEADER) + N_SECTIONS * 16 + 4
+
+
+def _array_section_lengths(d: int, m: int, p: int, n_fps: int) -> list[int]:
+    """Byte lengths of the codes, assignments, centroids, codebooks and radii
+    sections; every section but the songs one has a fixed size."""
+    return [n_fps * m, n_fps * 2, p * d * 4, m * 256 * (d // m) * 4, n_fps * 2]
 
 
 @dataclass
@@ -56,7 +64,6 @@ class Database:
 
     def storage_report(self) -> dict:
         """Per-song byte budgets and compression ratios."""
-        blob = serialize(self)
         n_songs = len(self.songs)
         n_fps = self.index.n_points
         m = self.index.codebook.n_subspaces
@@ -64,6 +71,8 @@ class Database:
         payload = n_fps * m
         postings = n_fps * 2  # u16 partition assignment per fingerprint
         metadata = len(_songs_blob(self.songs))
+        file_bytes = _FRAME_BYTES + metadata + sum(
+            _array_section_lengths(d, m, self.index.partitioner.n_partitions, n_fps))
         return {
             "n_songs": n_songs,
             "n_fingerprints": n_fps,
@@ -74,8 +83,8 @@ class Database:
             "compression_ratio": (d * 4) / m,
             "payload_bytes_per_song": payload / n_songs,
             "total_bytes_per_song": (payload + postings + metadata) / n_songs,
-            "file_bytes": len(blob),
-            "file_bytes_per_song": len(blob) / n_songs,
+            "file_bytes": file_bytes,
+            "file_bytes_per_song": file_bytes / n_songs,
             "payload_ratio_vs_d128": m / (128 // 8),
         }
 
@@ -111,23 +120,14 @@ def build_database(song_entries: list[tuple[SongRecord, np.ndarray]],
         song_ids.append(np.full(len(f), rec.song_id, dtype=np.int32))
         offsets.append(np.arange(len(f), dtype=np.int32))
         start += len(f)
-    all_fps = np.concatenate(fps)
-    pids = partitioner.assign(all_fps)
-    codes = pq_encode(all_fps - partitioner.centroids[pids], codebook)
-    idx = FingerprintIndex(partitioner, codebook, codes,
-                           pids, np.concatenate(song_ids), np.concatenate(offsets),
-                           coverage=coverage)
+    idx = encode_index(np.concatenate(fps), np.concatenate(song_ids), np.concatenate(offsets),
+                       partitioner, codebook, coverage=coverage)
     radii = local_density(idx.decode_all(), idx.song_ids, idx.offsets,
                           matcher_cfg.k_density, radius_floor=matcher_cfg.radius_floor)
     # round-trip through the stored float16 form so a fresh build scores
     # identically to a loaded one
     radii = radii.astype(np.float16).astype(np.float64)
     return Database(songs, idx, radii)
-
-
-def build_db(song_entries, partitioner, codebook, matcher_cfg=None, coverage=0.02) -> bytes:
-    """Build and serialize in one step."""
-    return serialize(build_database(song_entries, partitioner, codebook, matcher_cfg, coverage))
 
 
 def _songs_blob(songs: list[SongRecord]) -> bytes:
@@ -194,27 +194,22 @@ def load_db(data: bytes, coverage: float = 0.02) -> Database:
     if len(data) < 4 or data[:4] != MAGIC:
         raise DbMagicError("not an NPDB file")
     hdr_size = struct.calcsize(_HEADER)
-    if len(data) < hdr_size + N_SECTIONS * 16 + 4:
+    if len(data) < _FRAME_BYTES:
         raise DbBoundsError("file shorter than header")
     _, version, d, m, p, n_songs, n_fps = struct.unpack_from(_HEADER, data, 0)
     if version != VERSION:
         raise DbVersionError(f"unsupported version {version}")
+    if m < 1 or d % m != 0 or p < 1 or n_songs > n_fps:
+        raise DbBoundsError(f"inconsistent header: d={d}, M={m}, P={p}, "
+                            f"{n_songs} songs, {n_fps} fingerprints")
     table = []
     for i in range(N_SECTIONS):
         off, length = struct.unpack_from("<QQ", data, hdr_size + 16 * i)
         if off + length > len(data) - 4:
             raise DbBoundsError(f"section {i} out of bounds")
         table.append((off, length))
-    expected = [
-        None,
-        n_fps * m,
-        n_fps * 2,
-        p * d * 4,
-        m * 256 * (d // m) * 4,
-        n_fps * 2,
-    ]
-    for i, exp in enumerate(expected):
-        if exp is not None and table[i][1] != exp:
+    for i, exp in enumerate(_array_section_lengths(d, m, p, n_fps), start=1):
+        if table[i][1] != exp:
             raise DbBoundsError(f"section {i} has length {table[i][1]}, expected {exp}")
     (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
     if zlib.crc32(data[:-4]) != stored_crc:

@@ -19,7 +19,6 @@ from tunescout.detector import (
     GateConfig,
     batch_predictions,
     init_weights,
-    parameter_count,
     quantize_weights,
     streaming_predictions,
     training_loss,
@@ -137,7 +136,7 @@ def test_acceptance_03_probe_scan_fraction():
 
 def test_acceptance_04_detector_budget(trained_detector):
     w, _, _, _ = trained_detector
-    n_params = parameter_count(w.topology)
+    n_params = w.topology.parameter_count()
     blob = weights_io.save_detector(quantize_weights(w), quantize=True)
     ok = (8000 <= n_params <= 9000 and len(blob) < 10 * 1024)
     _report(4, "detector has 8-9k parameters and a <10 KB quantized file", ok,

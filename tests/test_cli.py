@@ -192,3 +192,35 @@ def test_eval_detector_csv(workdir, trained_detector, tmp_path, capsys):
     assert all(0.0 <= r <= 1.0 for r in recalls) and all(f >= 0.0 for f in fps)
     # a permissive gate catches at least as much as a strict one
     assert recalls[0] >= recalls[-1] and fps[0] >= fps[-1]
+
+
+@pytest.mark.parametrize("config", [
+    {"matcher": {"top_k": 20, "no_such_key": 1}},  # unknown nested key
+    {"no_such_section": {}},                       # unknown top-level key
+    {"matcher": 5},                                # section of the wrong type
+    {"matcher": {"top_k": "20"}},                  # value of the wrong type
+    "{not json",
+])
+def test_recognize_bad_config_exits_two(workdir, tmp_path, capsys, config):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
+    wave = song_audio(workdir["corpus_cfg"], 0)[: 8 * SR]
+    rc = cli.main(["recognize", "--db", workdir["db"], "--weights", workdir["weights"],
+                   "--wav", _wav(tmp_path / "q.wav", wave), "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("error: ")
+
+
+def test_stream_bad_gate_config_exits_two(workdir, tmp_path, capsys):
+    gate_path = tmp_path / "gate.json"
+    gate_path.write_text(json.dumps({"threshold": 0.5, "no_such_key": 1}))
+    rc = cli.main(["stream", "--db", workdir["db"], "--weights", workdir["weights"],
+                   "--detector-weights", str(tmp_path / "unused.npmd"),
+                   "--wav", str(tmp_path / "unused.wav"), "--config", workdir["cfg"],
+                   "--gate-config", str(gate_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == ["error: gate config: unknown keys ['no_such_key']"]

@@ -17,7 +17,6 @@ from tunescout.detector import (
     detector_forward,
     fold_batchnorm,
     init_weights,
-    parameter_count,
     quantize_tensor,
     quantize_weights,
     smooth_and_gate,
@@ -42,9 +41,9 @@ def test_parameter_count_arithmetic():
     # one separable conv layer: depthwise 4*32 + pointwise 32*32 + bias 32
     assert 4 * 32 + 32 * 32 + 32 == 1184
     no_bn = DetectorTopology(batch_norm=False)
-    assert parameter_count(no_bn) == 6 * 1184 + (160 * 8 + 8) + (8 * 1 + 1)
-    assert parameter_count(no_bn) == 8401
-    assert 8000 <= parameter_count(TOPO) <= 9000
+    assert no_bn.parameter_count() == 6 * 1184 + (160 * 8 + 8) + (8 * 1 + 1)
+    assert no_bn.parameter_count() == 8401
+    assert 8000 <= TOPO.parameter_count() <= 9000
 
 
 def test_parameter_count_is_topological():
@@ -52,7 +51,7 @@ def test_parameter_count_is_topological():
     w = init_weights(TOPO, seed=0)
     n = sum(w.tensors[name].size for name in w.tensors
             if not name.endswith(("_bn_mean", "_bn_var")))
-    assert n == parameter_count(TOPO)
+    assert n == TOPO.parameter_count()
 
 
 # ----------------------------------------------------------------- forward

@@ -6,7 +6,6 @@ import pytest
 
 from tunescout import nnops
 from tunescout.embedder import (
-    TINY,
     EmbedderTopology,
     EmbedderTrainConfig,
     backward_batch,
@@ -20,6 +19,9 @@ from tunescout.embedder import (
     train_embedder,
     triplet_loss,
 )
+from tunescout.pipeline import PipelineConfig
+
+TINY = PipelineConfig(embedder_preset="tiny").embedder_topology()
 
 MICRO = EmbedderTopology(frames=8, mel_bins=8, conv_channels=(2, 3), branches=2,
                          branch_hidden=4, dim=8)

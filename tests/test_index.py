@@ -9,12 +9,12 @@ from tunescout.index import (
     SearchStats,
     build_index,
     compression_ratio,
-    decode,
     default_partition_count,
-    encode,
+    encode_index,
     kmeans,
     pq_decode,
     pq_encode,
+    train_index_models,
     train_partitioner,
     train_pq,
 )
@@ -141,16 +141,28 @@ def test_pq_decode_rejects_out_of_range_codes():
 
 # ---------------------------------------------------------- encode/decode
 
+def _encode_decode(x, part, cb):
+    """Quantize rows of x into an index and reconstruct them."""
+    n = len(x)
+    idx = encode_index(x, np.zeros(n, np.int32), np.arange(n, dtype=np.int32), part, cb)
+    return idx, idx.decode(np.arange(n))
+
+
 def test_encode_decode_fixed_point(structured_db):
     fps, _, _ = structured_db
     part = train_partitioner(fps, 8, seed=0)
     cb, _ = train_pq(fps - part.centroids[part.assign(fps)], m=4, seed=0)
-    qf = encode(fps[0], part, cb, song_id=0, offset_s=0)
-    recon = decode(qf, part, cb)
-    qf2 = encode(recon, part, cb)
-    assert np.allclose(decode(qf2, part, cb), recon, atol=1e-5)
+    idx, recon = _encode_decode(fps, part, cb)
+    # every reconstructed residual re-encodes to itself
+    res = recon - part.centroids[idx.partition_ids]
+    assert np.allclose(pq_decode(pq_encode(res, cb), cb), res, atol=1e-5)
+    # so does a reconstruction that stays nearest its own partition
+    _, recon2 = _encode_decode(recon[:1], part, cb)
+    assert np.allclose(recon2, recon[:1], atol=1e-5)
     # determinism
-    assert np.array_equal(qf.code, encode(fps[0], part, cb).code)
+    again, _ = _encode_decode(fps, part, cb)
+    assert np.array_equal(idx.codes, again.codes)
+    assert np.array_equal(idx.partition_ids, again.partition_ids)
 
 
 def test_code_size_and_compression_ratio():
@@ -161,13 +173,10 @@ def test_code_size_and_compression_ratio():
 
 def test_decode_error_bounded_on_heldout(structured_db):
     fps, _, _ = structured_db
-    rng = np.random.default_rng(8)
     train, held = fps[:900], fps[900:]
-    part = train_partitioner(train, 8, seed=0)
-    cb, _ = train_pq(train - part.centroids[part.assign(train)], m=4, seed=0)
+    part, cb = train_index_models(train, p=8, m=4, seed=0)
     def errs(x):
-        return np.array([np.linalg.norm(x[i] - decode(encode(x[i], part, cb), part, cb))
-                         for i in range(len(x))])
+        return np.linalg.norm(x - _encode_decode(x, part, cb)[1], axis=1)
     assert errs(held).max() <= errs(train).max() * 2
 
 

@@ -13,7 +13,6 @@ from tunescout.match import (
     adaptive_accept,
     collect_candidates,
     local_density,
-    naive_score_sequence,
     recognize,
     score_sequence,
 )
@@ -161,10 +160,22 @@ def test_score_out_of_bounds_steps_count_as_zero(small_db):
 def test_score_fully_outside_raises(small_db):
     idx, spans, radii = small_db
     cand = SequenceCandidate(song_id=2, start_offset=500, support=1)
-    with pytest.raises(ValueError):
-        score_sequence(np.zeros((3, 16), dtype=np.float32), cand, idx, spans, radii)
-    with pytest.raises(ValueError):
-        naive_score_sequence(np.zeros((3, 16), dtype=np.float32), cand, idx, spans)
+    for r in (radii, np.ones(idx.n_points)):
+        with pytest.raises(ValueError):
+            score_sequence(np.zeros((3, 16), dtype=np.float32), cand, idx, spans, r)
+
+
+def test_score_unit_radii_is_plain_l2_kernel(small_db):
+    # the naive baseline of acceptance 10 is the adaptive scorer with r = 1
+    idx, spans, _ = small_db
+    rng = np.random.default_rng(6)
+    q = (idx.decode(np.arange(4 * 30 + 26, 4 * 30 + 30))
+         + 0.2 * rng.standard_normal((4, 16))).astype(np.float32)
+    q = np.concatenate([q, np.zeros((2, 16), dtype=np.float32)])  # 2 steps past the end
+    cand = SequenceCandidate(song_id=4, start_offset=26, support=4)
+    d2 = ((q[:4] - idx.decode(np.arange(4 * 30 + 26, 4 * 30 + 30))) ** 2).sum(axis=1)
+    expected = np.concatenate([np.exp(-d2.astype(np.float64)), np.zeros(2)]).mean()
+    assert score_sequence(q, cand, idx, spans, np.ones(idx.n_points)) == expected
 
 
 def test_scores_in_unit_interval(small_db):

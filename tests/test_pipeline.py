@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from tunescout.corpus import CorpusConfig, song_audio, to_pcm
-from tunescout.embedder import TINY
 from tunescout.embedder import init_weights as emb_init
 from tunescout.frontend import FrontendConfig, log_mel_frames
 from tunescout.pipeline import (
@@ -16,6 +15,7 @@ from tunescout.pipeline import (
     recognize_pcm,
 )
 
+TINY = PipelineConfig(embedder_preset="tiny").embedder_topology()
 WEIGHTS = emb_init(TINY, seed=0)
 
 
@@ -58,7 +58,7 @@ def test_fingerprint_count_matches_window_arithmetic():
 def test_phase_starts_cover_the_hop():
     wave = song_audio(CorpusConfig(n_songs=1, duration_s=10.0, seed=1), 0)
     frames = log_mel_frames(to_pcm(wave))
-    phased = fingerprint_phases(frames, WEIGHTS, n_phases=4, hop=100)
+    phased = fingerprint_phases(frames, WEIGHTS, n_phases=4)
     assert len(phased) == 4
     for i, fps in enumerate(phased):
         start = i * 25
@@ -73,7 +73,7 @@ def test_phase_starts_cover_the_hop():
 
 def test_short_audio_keeps_only_feasible_phases():
     frames = np.zeros((100, 32), dtype=np.float32)  # one window at phase 0 only
-    phased = fingerprint_phases(frames, WEIGHTS, n_phases=4, hop=100)
+    phased = fingerprint_phases(frames, WEIGHTS, n_phases=4)
     assert len(phased) == 1 and phased[0].shape[0] == 1
 
 

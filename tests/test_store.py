@@ -1,5 +1,8 @@
 """NPDB database file: build, serialize, load, and corruption handling."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -76,6 +79,37 @@ def test_bad_version(blob):
         pass
     else:
         pytest.fail("expected DbVersionError before checksum validation")
+
+
+def _packed(d, m, p, n_songs, n_fps, sections):
+    """A CRC-valid NPDB file with the given header fields and section bytes."""
+    header = struct.pack("<4sHHHIIQ", b"NPDB", 1, d, m, p, n_songs, n_fps)
+    pos = len(header) + 16 * len(sections)
+    table = b""
+    for sec in sections:
+        table += struct.pack("<QQ", pos, len(sec))
+        pos += len(sec)
+    body = header + table + b"".join(sections)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.mark.parametrize("d, m, p, n_songs, n_fps", [
+    (16, 0, 4, 1, 2),  # M = 0 would divide by zero
+    (16, 3, 4, 1, 2),  # d not a multiple of M
+    (16, 2, 0, 1, 2),  # no partitions
+    (16, 2, 4, 3, 2),  # more songs than fingerprints
+])
+def test_inconsistent_header_is_bounds_error(d, m, p, n_songs, n_fps):
+    # the sections have the lengths the header implies and the song spans
+    # cover the codes back to back, so only the header fields are wrong
+    sub = d // m if m else 0
+    counts = [1] * (n_songs - 1) + [max(0, n_fps - n_songs + 1)]
+    songs = b"".join(struct.pack("<IHH", s, 0, 0) + struct.pack("<fQI", 1.0, sum(counts[:s]), c)
+                     for s, c in enumerate(counts))
+    sections = [songs, bytes(n_fps * m), bytes(n_fps * 2), bytes(p * d * 4),
+                bytes(m * 256 * sub * 4), bytes(n_fps * 2)]
+    with pytest.raises(DbBoundsError, match="inconsistent header"):
+        load_db(_packed(d, m, p, n_songs, n_fps, sections))
 
 
 def test_truncation_is_bounds_error(blob):

@@ -5,12 +5,12 @@ import pytest
 
 from tunescout import weights_io
 from tunescout.detector import DetectorTopology, init_weights, quantize_weights
-from tunescout.embedder import TINY
 from tunescout.embedder import init_weights as emb_init
 from tunescout.errors import WeightsFormatError
+from tunescout.pipeline import PipelineConfig
 
 SMALL_DET = DetectorTopology(input_frames=22, channels=4, n_layers=2, dense_hidden=3)
-SMALL_EMB = TINY
+SMALL_EMB = PipelineConfig(embedder_preset="tiny").embedder_topology()
 
 
 def test_detector_round_trip_float():
