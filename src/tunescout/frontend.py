@@ -13,6 +13,7 @@ import numpy as np
 from .errors import WavCodecError, WavHeaderError, WavTruncatedError
 
 CANONICAL_RATE = 16000
+_BLOCK_FRAMES = 1024  # log-Mel frames per FFT block
 
 
 @dataclass
@@ -171,19 +172,34 @@ def log_mel_frames(stream: PcmStream, cfg: FrontendConfig | None = None) -> np.n
 
     Per frame: Hann window -> power spectrum -> triangular Mel bank ->
     log(max(energy, log_floor)). Frame count is floor((n - window)/hop) + 1.
+    Frames are processed in blocks of 1024 (the last block takes the
+    remainder), so the working memory does not depend on the input length;
+    only the float32 output grows with it.
     """
     cfg = cfg or FrontendConfig()
     if stream.sample_rate != cfg.sample_rate:
         raise ValueError(
             f"expected {cfg.sample_rate} Hz input, got {stream.sample_rate} (canonicalize first)"
         )
-    x = np.asarray(stream.samples, dtype=np.float64) / 32768.0
+    x = np.asarray(stream.samples)
     win, hop = cfg.window, cfg.hop
     if len(x) < win:
         raise ValueError(f"stream of {len(x)} samples is shorter than one {win}-sample window")
     n_frames = (len(x) - win) // hop + 1
     frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop][:n_frames]
-    spec = np.fft.rfft(frames * np.hanning(win), n=cfg.fft_size)
-    power = spec.real**2 + spec.imag**2
-    energy = power @ mel_filterbank(cfg).T
-    return np.log(np.maximum(energy, cfg.log_floor)).astype(np.float32)
+    window = np.hanning(win)
+    fb_t = mel_filterbank(cfg).T
+    out = np.empty((n_frames, cfg.mel_bins), dtype=np.float32)
+    # The last block takes the remainder (up to 2047 frames): BLAS rounds a
+    # product of a few dozen rows differently from the same rows inside a
+    # large product, so no block may be short unless it is the whole input.
+    starts = list(range(0, n_frames - _BLOCK_FRAMES + 1, _BLOCK_FRAMES)) or [0]
+    for s, e in zip(starts, starts[1:] + [n_frames]):
+        block = frames[s:e].astype(np.float64)
+        block *= 1.0 / 32768.0
+        block *= window
+        spec = np.fft.rfft(block, n=cfg.fft_size)
+        power = np.square(spec.real)
+        power += np.square(spec.imag)
+        out[s:e] = np.log(np.maximum(power @ fb_t, cfg.log_floor))
+    return out

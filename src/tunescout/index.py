@@ -18,9 +18,10 @@ from . import kernels
 def kmeans(data: np.ndarray, k: int, seed: int = 0, iters: int = 15):
     """Lloyd's algorithm with k-means++ init.
 
-    Returns (centroids, assignments, objective_history); the total
-    within-cluster squared distance is non-increasing per iteration. Empty
-    clusters keep their previous centroid.
+    Returns (centroids, assignments, objective_history, sq_distances), the
+    last two for the final centroids; the total within-cluster squared
+    distance is non-increasing per iteration. Empty clusters keep their
+    previous centroid.
     """
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
@@ -36,19 +37,19 @@ def kmeans(data: np.ndarray, k: int, seed: int = 0, iters: int = 15):
             centroids[j] = data[rng.integers(n)]
         else:
             centroids[j] = data[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((data - centroids[j]) ** 2).sum(axis=1))
+        np.minimum(d2, ((data - centroids[j]) ** 2).sum(axis=1), out=d2)
     history = []
-    assign = None
+    columns = np.ascontiguousarray(data.T)
     for _ in range(iters):
         assign, dist2 = kernels.assign_nearest(data, centroids)
         history.append(float(dist2.sum()))
         counts = np.bincount(assign, minlength=k)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, data)
+        # per-column bincount sums in input order, like a scatter-add
+        sums = np.stack([np.bincount(assign, weights=col, minlength=k) for col in columns], axis=1)
         nonempty = counts > 0
         centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
-    assign, _ = kernels.assign_nearest(data, centroids)
-    return centroids, assign, history
+    assign, dist2 = kernels.assign_nearest(data, centroids)
+    return centroids, assign, history, dist2
 
 
 @dataclass
@@ -83,7 +84,7 @@ def default_partition_count(n: int) -> int:
 
 def train_partitioner(data: np.ndarray, p: int, seed: int = 0, iters: int = 15) -> PartitionerModel:
     """k-means partitioner over fingerprints (deterministic given seed)."""
-    centroids, _, _ = kmeans(data, p, seed=seed, iters=iters)
+    centroids, _, _, _ = kmeans(data, p, seed=seed, iters=iters)
     return PartitionerModel(centroids=centroids.astype(np.float32))
 
 
@@ -109,16 +110,15 @@ def train_pq(data: np.ndarray, m: int, seed: int = 0, iters: int = 15,
     err2 = np.zeros(data.shape[0])
     for j in range(m):
         sl = data[:, j * sub : (j + 1) * sub]
-        if len(np.unique(sl, axis=0)) <= 256:
+        uniq = np.unique(sl, axis=0)
+        if len(uniq) <= 256:
             # fewer distinct points than centroids: place centroids on them
-            uniq = np.unique(sl, axis=0)
             c = np.zeros((256, sub))
             c[: len(uniq)] = uniq
             c[len(uniq) :] = uniq[0]
-            assign, d2 = kernels.assign_nearest(sl, c)
-        else:
-            c, assign, _ = kmeans(sl, 256, seed=seed + j, iters=iters)
             _, d2 = kernels.assign_nearest(sl, c)
+        else:
+            c, _, _, d2 = kmeans(sl, 256, seed=seed + j, iters=iters)
         cents[j] = c
         err2 += d2
     return PQCodebook(centroids=cents), float(np.sqrt(err2).mean())

@@ -31,9 +31,8 @@ def assign_nearest(x, centroids):
         d *= -2.0
         d += c_sq[None, :]
         d += np.einsum("nd,nd->n", xs, xs)[:, None]
-        ii = np.argmin(d, axis=1)
-        idx[s : s + chunk] = ii
-        d2[s : s + chunk] = np.maximum(d[np.arange(len(ii)), ii], 0.0)
+        idx[s : s + chunk] = np.argmin(d, axis=1)
+        d2[s : s + chunk] = np.maximum(d.min(axis=1), 0.0)
     return idx, d2
 
 

@@ -1,5 +1,7 @@
 """Frontend: WAV decode, resampling and log-Mel extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from tunescout.frontend import (
     encode_wav,
     log_mel_frames,
     mel_center_frequencies,
+    mel_filterbank,
     resample,
 )
 
@@ -181,3 +184,46 @@ def test_gain_monotonicity_property(seed):
     lo = log_mel_frames(_pcm(base), CFG)
     hi = log_mel_frames(_pcm(base * 2), CFG)
     assert (hi >= lo - 1e-9).all()
+
+
+def _whole_array_log_mel(samples, cfg=CFG):
+    """The unblocked formula: every frame's float64 spectrum at once."""
+    x = np.asarray(samples, dtype=np.float64) / 32768.0
+    n_frames = (len(x) - cfg.window) // cfg.hop + 1
+    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window)[::cfg.hop][:n_frames]
+    spec = np.fft.rfft(frames * np.hanning(cfg.window), n=cfg.fft_size)
+    power = spec.real**2 + spec.imag**2
+    energy = power @ mel_filterbank(cfg).T
+    return np.log(np.maximum(energy, cfg.log_floor)).astype(np.float32)
+
+
+@pytest.mark.parametrize("n_frames", [1, 1023, 1024, 1025, 2051, 2064])
+def test_blocked_log_mel_equals_whole_array(n_frames):
+    # blocks of 1024 frames, the last one taking the remainder; the extra
+    # 100 samples fall short of a frame
+    rng = np.random.default_rng(n_frames)
+    n = CFG.window + (n_frames - 1) * CFG.hop + 100
+    pcm = _pcm(rng.integers(-32768, 32768, size=n))
+    got = log_mel_frames(pcm, CFG)
+    assert got.shape == (n_frames, CFG.mel_bins)
+    assert np.array_equal(got, _whole_array_log_mel(pcm.samples))
+
+
+def test_blocked_log_mel_equals_whole_array_on_song():
+    from tunescout.corpus import CorpusConfig, song_audio, to_pcm
+
+    pcm = to_pcm(song_audio(CorpusConfig(n_songs=1, duration_s=240.0), 0))
+    assert np.array_equal(log_mel_frames(pcm, CFG), _whole_array_log_mel(pcm.samples))
+
+
+def test_log_mel_working_memory_is_bounded():
+    # 600 s: 59,998 frames; the float32 output alone is 7.7 MB, while the
+    # whole-array formula traces about 544 MB
+    pcm = _pcm(np.random.default_rng(0).integers(-3000, 3000, size=600 * 16000))
+    tracemalloc.start()
+    try:
+        log_mel_frames(pcm, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tunescout import kernels
 from tunescout.index import (
     FingerprintIndex,
     PQCodebook,
@@ -52,7 +53,7 @@ def built(structured_db):
 def test_kmeans_k1_is_mean():
     rng = np.random.default_rng(0)
     data = rng.standard_normal((200, 4))
-    cents, assign, _ = kmeans(data, 1, seed=0)
+    cents, assign, _, _ = kmeans(data, 1, seed=0)
     assert np.allclose(cents[0], data.mean(axis=0), atol=1e-9)
     assert np.all(assign == 0)
 
@@ -61,7 +62,7 @@ def test_kmeans_recovers_separated_blobs():
     rng = np.random.default_rng(1)
     means = np.array([[10, 0], [-10, 0], [0, 10], [0, -10]], dtype=float)
     data = np.concatenate([m + 0.05 * rng.standard_normal((50, 2)) for m in means])
-    cents, _, _ = kmeans(data, 4, seed=3)
+    cents, _, _, _ = kmeans(data, 4, seed=3)
     for m in means:
         assert np.min(np.linalg.norm(cents - m, axis=1)) < 0.1
 
@@ -69,16 +70,63 @@ def test_kmeans_recovers_separated_blobs():
 def test_kmeans_k_equals_n_zero_error():
     rng = np.random.default_rng(2)
     data = rng.standard_normal((16, 3))
-    cents, assign, hist = kmeans(data, 16, seed=0)
-    _, d2 = __import__("tunescout.kernels", fromlist=["assign_nearest"]).assign_nearest(data, cents)
+    cents, assign, hist, d2 = kmeans(data, 16, seed=0)
+    assert np.array_equal(d2, kernels.assign_nearest(data, cents)[1])
     assert np.allclose(d2, 0.0, atol=1e-12)
 
 
 def test_kmeans_objective_non_increasing():
     rng = np.random.default_rng(3)
     data = rng.standard_normal((500, 8))
-    _, _, hist = kmeans(data, 10, seed=0, iters=12)
+    _, _, hist, _ = kmeans(data, 10, seed=0, iters=12)
     assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
+
+
+def _reference_assign(x, centroids):
+    """Nearest centroid by the same distance expansion, gathering d[i, argmin]."""
+    d = x @ centroids.T
+    d *= -2.0
+    d += np.einsum("kd,kd->k", centroids, centroids)[None, :]
+    d += np.einsum("nd,nd->n", x, x)[:, None]
+    ii = np.argmin(d, axis=1)
+    return ii, np.maximum(d[np.arange(len(ii)), ii], 0.0)
+
+
+def _reference_kmeans(data, k, seed, iters=15):
+    """k-means++ then Lloyd with a scatter-add (np.add.at) centroid update."""
+    n = data.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, data.shape[1]))
+    centroids[0] = data[rng.integers(n)]
+    d2 = ((data - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centroids[j] = data[rng.integers(n)]
+        else:
+            centroids[j] = data[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((data - centroids[j]) ** 2).sum(axis=1))
+    history = []
+    for _ in range(iters):
+        assign, dist2 = _reference_assign(data, centroids)
+        history.append(float(dist2.sum()))
+        counts = np.bincount(assign, minlength=k)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assign, data)
+        nonempty = counts > 0
+        centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+    assign, dist2 = _reference_assign(data, centroids)
+    return centroids, assign, history, dist2
+
+
+def test_kmeans_matches_scatter_add_reference_exactly():
+    data = np.random.default_rng(8).standard_normal((3000, 8))
+    got = kmeans(data, 256, seed=4)
+    want = _reference_kmeans(data, 256, seed=4)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    assert np.array_equal(got[3], want[3])
 
 
 def test_kmeans_too_few_points():
@@ -109,6 +157,17 @@ def test_train_pq_beats_random_codebook():
     rand_cb = PQCodebook(centroids=rng.standard_normal((2, 256, 8)).astype(np.float32))
     rand_err = np.linalg.norm(data - pq_decode(pq_encode(data, rand_cb), rand_cb), axis=1).mean()
     assert err <= rand_err
+
+
+def test_train_pq_error_matches_reference():
+    # mean ||x - x~|| over the sample, from reference k-means per subspace
+    data = np.random.default_rng(9).standard_normal((2000, 16))
+    _, err = train_pq(data, m=2, seed=3, iters=8)
+    err2 = np.zeros(len(data))
+    for j in range(2):
+        sl = np.ascontiguousarray(data[:, j * 8 : (j + 1) * 8])
+        err2 += _reference_kmeans(sl, 256, seed=3 + j, iters=8)[3]
+    assert err == float(np.sqrt(err2).mean())
 
 
 def test_train_pq_validates_inputs():
