@@ -212,16 +212,19 @@ def fingerprint_window(frames: np.ndarray, w: EmbedderWeights) -> np.ndarray:
     return out[0]
 
 
-def fingerprint_stream(frames: np.ndarray, w: EmbedderWeights, batch: int = 256) -> np.ndarray:
+def fingerprint_stream(frames: np.ndarray, w: EmbedderWeights, batch: int = 256,
+                       starts: tuple[int, ...] = (0,)) -> np.ndarray:
     """(n, dim) fingerprints at a 1 s hop; window right-aligned at each emission.
 
-    Emission count = floor((n_frames - window)/hop) + 1.
+    Emission count = floor((n_frames - start - window)/hop) + 1 per start
+    frame; the fingerprints of each start follow those of the one before,
+    all computed in the same batches.
     """
     topo = w.topology
     n = frames.shape[0]
-    if n < topo.frames:
-        raise ValueError(f"{n} frames is shorter than one {topo.frames}-frame window")
-    ends = list(range(topo.frames, n + 1, topo.hop_frames))
+    if n - max(starts) < topo.frames:
+        raise ValueError(f"{n - max(starts)} frames is shorter than one {topo.frames}-frame window")
+    ends = [e for s in starts for e in range(s + topo.frames, n + 1, topo.hop_frames)]
     out = np.empty((len(ends), topo.dim), dtype=np.float32)
     for s in range(0, len(ends), batch):
         chunk = np.stack([frames[e - topo.frames : e] for e in ends[s : s + batch]])

@@ -12,8 +12,8 @@ from .detector import DetectorWeights, GateConfig, batch_predictions, smooth_and
 from .embedder import EmbedderWeights
 from .frontend import FrontendConfig, log_mel_frames
 from .index import SearchStats
-from .pipeline import PipelineConfig, best_of_phases, query_phases
-from .store import Database
+from .match import recognize_phases
+from .pipeline import PipelineConfig, query_phases
 
 
 @dataclass
@@ -36,17 +36,16 @@ def run_queries(db, specs: list[QuerySpec], corpus_cfg: CorpusConfig,
                 stats: SearchStats | None = None) -> list[QueryOutcome]:
     """Match every query with both scorers over identical candidate sets.
 
-    Each query is fingerprinted once and matched twice: against db
-    (adaptive radii) and against a view of it with unit radii (the naive
-    fixed-radius kernel). A best score of 0 counts as no answer (song -1).
+    Each query is fingerprinted and searched once; every candidate is scored
+    under db's adaptive radii and under unit radii (the naive fixed-radius
+    kernel). A best score of 0 counts as no answer (song -1).
     """
-    naive_db = Database(db.songs, db.index, np.ones(db.index.n_points))
+    radii_sets = [db.radii, np.ones(db.index.n_points)]
     outcomes = []
     for spec in specs:
         wave = corpus_mod.query_audio(corpus_cfg, spec, holdout_cfg)
         phases = query_phases(corpus_mod.to_pcm(wave, corpus_cfg.sample_rate), weights, cfg)
-        a = best_of_phases(db, phases, cfg, stats)
-        n = best_of_phases(naive_db, phases, cfg)
+        a, n = recognize_phases(phases, db.index, db.spans, radii_sets, cfg.matcher, stats)
         outcomes.append(QueryOutcome(
             spec,
             a.song_id if a.score > 0 else -1, a.score, a.offset_s if a.score > 0 else -1,

@@ -191,6 +191,7 @@ class FingerprintIndex:
         self._posting_order = order.astype(np.int64)
         counts = np.bincount(self.partition_ids, minlength=p)
         self._posting_starts = np.concatenate([[0], np.cumsum(counts)])
+        self._terms = None  # built by the first search
 
     @property
     def dim(self) -> int:
@@ -212,58 +213,96 @@ class FingerprintIndex:
     def decode_all(self) -> np.ndarray:
         return self.decode(np.arange(self.n_points))
 
-    def _probe_list(self, q: np.ndarray, probes: int | None) -> np.ndarray:
+    def _probe_list(self, q: np.ndarray, probes: int | None) -> tuple[np.ndarray, np.ndarray]:
+        """Partitions to scan for q, nearest first, and ||q - c_p||^2 for every p."""
         cd2 = ((self.partitioner.centroids.astype(np.float64) - q) ** 2).sum(axis=1)
         order = np.argsort(cd2, kind="stable")
         if probes is not None:
-            return order[:probes]
+            return order[:probes], cd2
         # coverage drives large DBs; the point floor keeps small DBs useful
         target = max(self.coverage * self.n_points,
                      min(self.min_scan_points, self.n_points))
         counts = self._posting_starts[order + 1] - self._posting_starts[order]
         cum = np.cumsum(counts)
         need = int(np.searchsorted(cum, target)) + 1
-        return order[: max(1, min(need, len(order)))]
+        return order[: max(1, min(need, len(order)))], cd2
 
-    def search_topk(self, q: np.ndarray, k: int, probes: int | None = None,
-                    stats: SearchStats | None = None) -> list[SearchHit]:
-        """Top-k hits by asymmetric distance over the probed partitions.
+    def _partition_terms(self) -> np.ndarray:
+        """Query-independent part of each fingerprint's ADC distance.
+
+        ||q - c_p - y||^2 = ||q - c_p||^2 + sum_j (-2<q_j, b_jk> + B[p, j, k])
+        with B[p, j, k] = 2<c_pj, b_jk> + ||b_jk||^2 (Jegou et al. 2011,
+        IVFADC). Each fingerprint has one partition, so its B terms are
+        summed once, on the first search, and kept: one float64 per
+        fingerprint. Loading the index does not build them.
+        """
+        if self._terms is None:
+            m, sub = self.codebook.n_subspaces, self.codebook.sub_dim
+            cents = self.partitioner.centroids.astype(np.float64)
+            cb = self.codebook.centroids.astype(np.float64)
+            rows = self.partition_ids.astype(np.intp) * 256
+            terms = np.zeros(self.n_points)
+            for j in range(m):
+                # einsum, not a BLAS product that would wake a second thread
+                b = 2.0 * np.einsum("ps,ks->pk", cents[:, j * sub : (j + 1) * sub], cb[j]) \
+                    + (cb[j] ** 2).sum(axis=1)
+                terms += b.ravel().take(rows + self.codes[:, j])
+            self._terms = terms
+        return self._terms
+
+    def search_batch(self, queries: np.ndarray, k: int, probes: int | None = None,
+                     stats: SearchStats | None = None) -> list[list[SearchHit]]:
+        """Top-k hits for each row of queries (Q, d) by asymmetric distance
+        over that row's probed partitions.
 
         probes=None probes the nearest partitions covering the configured
-        fraction of the DB; probes=P scans everything (exhaustive). Ties are
-        broken by (distance, song_id, offset).
+        fraction of the DB; probes=P scans everything (exhaustive). The
+        per-query tables -2<q_j, b_jk> of all rows are built in one product;
+        distances are rounded to float32 and ties broken by (distance,
+        song_id, offset), the top k selected exactly.
         """
         if self.n_points == 0:
             raise ValueError("empty index")
         if k < 1:
             raise ValueError("k must be >= 1")
-        q = np.asarray(q, dtype=np.float64).ravel()
+        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if stats is None:
             stats = SearchStats()
-        stats.total += self.n_points
         m, sub = self.codebook.n_subspaces, self.codebook.sub_dim
-        hits_idx = []
-        hits_dist = []
-        for pid in self._probe_list(q, probes):
-            members = self.posting(pid)
-            if len(members) == 0:
-                continue
+        cb = self.codebook.centroids.astype(np.float64)
+        # -2<q_j, b_jk> for every row: one small product per subspace
+        luts = -2.0 * np.matmul(queries.reshape(len(queries), m, sub).transpose(1, 0, 2),
+                                cb.transpose(0, 2, 1)).transpose(1, 0, 2)
+        terms = self._partition_terms()
+        out = []
+        for q, lut in zip(queries, luts):
+            pids, cd2 = self._probe_list(q, probes)
+            members = np.concatenate([self.posting(p) for p in pids])
+            lens = self._posting_starts[pids + 1] - self._posting_starts[pids]
+            stats.total += self.n_points
             stats.scanned += len(members)
-            r = (q - self.partitioner.centroids[pid]).astype(np.float32)
-            lut = ((r.reshape(m, 1, sub) - self.codebook.centroids) ** 2).sum(axis=2)
-            dists = kernels.pq_scan(lut.astype(np.float32), self.codes[members])
-            hits_idx.append(members)
-            hits_dist.append(dists)
-        if not hits_idx:
-            return []
-        idx = np.concatenate(hits_idx)
-        dist = np.concatenate(hits_dist)
-        order = np.lexsort((self.offsets[idx], self.song_ids[idx], dist))[:k]
-        sel = idx[order]
-        return [
-            SearchHit(song_id=int(s), offset_s=int(o), approx_distance=float(d))
-            for s, o, d in zip(self.song_ids[sel], self.offsets[sel], dist[order])
-        ]
+            dist = kernels.pq_scan(lut, self.codes[members])
+            dist += np.repeat(cd2[pids], lens)
+            dist += terms[members]
+            out.append(self._top_k(members, dist.astype(np.float32), k))
+        return out
+
+    def _top_k(self, members: np.ndarray, dist: np.ndarray, k: int) -> list[SearchHit]:
+        """The k smallest by (distance, song_id, offset); only rows at or
+        below the k-th distance are sorted."""
+        if len(dist) > k:
+            keep = dist <= np.partition(dist, k - 1)[k - 1]
+            members, dist = members[keep], dist[keep]
+        order = np.lexsort((self.offsets[members], self.song_ids[members], dist))[:k]
+        sel = members[order]
+        return [SearchHit(song_id=s, offset_s=o, approx_distance=d)
+                for s, o, d in zip(self.song_ids[sel].tolist(), self.offsets[sel].tolist(),
+                                   dist[order].tolist())]
+
+    def search_topk(self, q: np.ndarray, k: int, probes: int | None = None,
+                    stats: SearchStats | None = None) -> list[SearchHit]:
+        """Top-k hits for one vector: search_batch of a single row."""
+        return self.search_batch(np.ravel(q)[None], k, probes, stats)[0]
 
 
 def train_index_models(fingerprints: np.ndarray, p: int | None = None,

@@ -10,10 +10,14 @@ import numpy as np
 def pq_scan(lut, codes):
     """Asymmetric distances: sum per-subspace table entries for each code row.
 
-    lut: (M, 256) float32 per-subspace distance table, codes: (n, M) uint8.
+    lut: (M, 256) per-subspace distance table, codes: (n, M) uint8. The
+    entries are gathered and added one subspace at a time, in order, in the
+    table's dtype.
     """
-    m = lut.shape[0]
-    return lut[np.arange(m), codes.astype(np.intp)].sum(axis=1, dtype=np.float32)
+    out = np.zeros(len(codes), dtype=lut.dtype)
+    for j in range(lut.shape[0]):
+        out += lut[j].take(codes[:, j])
+    return out
 
 
 def assign_nearest(x, centroids):

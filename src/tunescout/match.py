@@ -97,30 +97,42 @@ def local_density(points: np.ndarray, song_ids: np.ndarray, offsets: np.ndarray,
     return np.maximum(r, radius_floor)
 
 
+def score_candidates(query_fps: np.ndarray, candidates: list[SequenceCandidate],
+                     idx: FingerprintIndex, spans: dict[int, tuple[int, int]],
+                     radii_sets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of every candidate under each radii array, with one decode of
+    all aligned fingerprints.
+
+    A candidate's score is the mean per-step similarity
+    exp(-||q - x~||^2 / r^2) over all query steps; steps whose alignment
+    falls outside the song contribute 0, so missing evidence penalizes the
+    score. Unit radii give the fixed-radius baseline exp(-||q - x~||^2).
+    Returns (scores (len(radii_sets), C), aligned (C,)); a candidate with
+    no step inside its song is not aligned and scores 0.
+    """
+    t = len(query_fps)
+    start, count = np.array([spans[c.song_id] for c in candidates], dtype=np.int64).reshape(-1, 2).T
+    off = np.array([c.start_offset for c in candidates], dtype=np.int64)[:, None] + np.arange(t)
+    valid = (off >= 0) & (off < count[:, None])
+    g = (start[:, None] + off)[valid]
+    d2 = ((query_fps[np.nonzero(valid)[1]] - idx.decode(g)) ** 2).sum(axis=1)
+    scores = np.zeros((len(radii_sets), len(candidates)))
+    for out, radii in zip(scores, radii_sets):
+        r = radii[g]
+        sims = np.zeros(valid.shape)
+        sims[valid] = np.exp(-d2 / (r * r))
+        out[:] = sims.mean(axis=1)
+    return scores, valid.any(axis=1)
+
+
 def score_sequence(query_fps: np.ndarray, candidate: SequenceCandidate,
                    idx: FingerprintIndex, spans: dict[int, tuple[int, int]],
                    radii: np.ndarray) -> float:
-    """Mean per-step similarity exp(-||q - x~||^2 / r^2) over all query steps.
-
-    Steps whose alignment falls outside the song contribute 0, so missing
-    evidence penalizes the score. Raises if no step aligns at all. Unit
-    radii give the fixed-radius baseline exp(-||q - x~||^2).
-    """
-    t = len(query_fps)
-    start, count = spans[candidate.song_id]
-    g = np.full(t, -1, dtype=np.int64)
-    for i in range(t):
-        off = candidate.start_offset + i
-        if 0 <= off < count:
-            g[i] = start + off
-    valid = g >= 0
-    if not valid.any():
+    """One candidate's score (see score_candidates). Raises if no step aligns."""
+    scores, aligned = score_candidates(query_fps, [candidate], idx, spans, [radii])
+    if not aligned[0]:
         raise ValueError("candidate alignment fully outside song bounds")
-    d2 = ((query_fps[valid] - idx.decode(g[valid])) ** 2).sum(axis=1)
-    r = radii[g[valid]]
-    sims = np.zeros(t)
-    sims[valid] = np.exp(-d2 / (r * r))
-    return float(sims.mean())
+    return float(scores[0, 0])
 
 
 def adaptive_accept(scored: list[MatchResult], theta_abs: float = 0.40,
@@ -140,24 +152,42 @@ def adaptive_accept(scored: list[MatchResult], theta_abs: float = 0.40,
     )
 
 
+def recognize_phases(phases: list[np.ndarray], idx: FingerprintIndex,
+                     spans: dict[int, tuple[int, int]], radii_sets: list[np.ndarray],
+                     cfg: MatcherConfig | None = None,
+                     stats: SearchStats | None = None) -> list[MatchResult]:
+    """Full two-stage match of a query's phase hypotheses.
+
+    One search_batch over every phase's fingerprints, then per phase
+    candidate voting, sequence scoring under each radii array and adaptive
+    acceptance. Returns, per radii array, the highest-scoring phase's result
+    (the first phase on ties).
+    """
+    cfg = cfg or MatcherConfig()
+    phases = [np.atleast_2d(np.asarray(f, dtype=np.float32)) for f in phases]
+    if not phases or any(len(f) == 0 for f in phases):
+        raise ValueError("need at least one query fingerprint")
+    hits = idx.search_batch(np.concatenate(phases), cfg.top_k, stats=stats)
+    best: list[MatchResult | None] = [None] * len(radii_sets)
+    pos = 0
+    for fps in phases:
+        candidates = collect_candidates(hits[pos : pos + len(fps)], cfg.max_candidates)
+        pos += len(fps)
+        scores, aligned = score_candidates(fps, candidates, idx, spans, radii_sets)
+        for i, row in enumerate(scores):
+            scored = [MatchResult(song_id=c.song_id, offset_s=c.start_offset, score=float(s),
+                                  accepted=False, runner_up_score=0.0)
+                      for c, s, ok in zip(candidates, row, aligned) if ok]
+            result = adaptive_accept(scored, cfg.theta_abs, cfg.theta_gap)
+            if best[i] is None or result.score > best[i].score:
+                best[i] = result
+    return best
+
+
 def recognize(query_fps: np.ndarray, idx: FingerprintIndex,
               spans: dict[int, tuple[int, int]], radii: np.ndarray,
               cfg: MatcherConfig | None = None,
               stats: SearchStats | None = None) -> MatchResult:
-    """Full two-stage match: per-step ANN search, candidate voting,
-    sequence scoring, adaptive acceptance."""
-    cfg = cfg or MatcherConfig()
-    query_fps = np.atleast_2d(np.asarray(query_fps, dtype=np.float32))
-    if len(query_fps) == 0:
-        raise ValueError("need at least one query fingerprint")
-    hits = [idx.search_topk(q, cfg.top_k, stats=stats) for q in query_fps]
-    candidates = collect_candidates(hits, cfg.max_candidates)
-    scored = []
-    for cand in candidates:
-        try:
-            s = score_sequence(query_fps, cand, idx, spans, radii)
-        except ValueError:
-            continue
-        scored.append(MatchResult(song_id=cand.song_id, offset_s=cand.start_offset,
-                                  score=s, accepted=False, runner_up_score=0.0))
-    return adaptive_accept(scored, cfg.theta_abs, cfg.theta_gap)
+    """Full two-stage match of one fingerprint sequence: per-step ANN
+    search, candidate voting, sequence scoring, adaptive acceptance."""
+    return recognize_phases([query_fps], idx, spans, [radii], cfg, stats)[0]

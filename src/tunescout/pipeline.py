@@ -126,17 +126,18 @@ def fingerprint_phases(frames: np.ndarray, weights: EmbedderWeights,
     embedding far from its stored neighbour. Shifting the query windowing by
     hop/n_phases increments guarantees one hypothesis lands within
     hop/(2*n_phases) of the grid; the matcher keeps the best-scoring one.
+    Phases too short for one window are dropped; the windows of all others
+    go through the embedder together.
     """
-    hop = weights.topology.hop_frames
-    out = []
-    for i in range(max(1, n_phases)):
-        start = i * hop // max(1, n_phases)
-        if frames.shape[0] - start < weights.topology.frames:
-            break  # later phases are shorter still
-        fps = fingerprint_stream(frames[start:], weights)
-        if len(fps):
-            out.append(fps)
-    return out
+    topo = weights.topology
+    n = max(1, n_phases)
+    starts = [i * topo.hop_frames // n for i in range(n)]
+    starts = [s for s in starts if frames.shape[0] - s >= topo.frames]
+    if not starts:
+        return []
+    fps = fingerprint_stream(frames, weights, starts=tuple(starts))
+    counts = [(frames.shape[0] - s - topo.frames) // topo.hop_frames + 1 for s in starts]
+    return np.split(fps, np.cumsum(counts)[:-1])
 
 
 def fingerprint_wave(wave: np.ndarray, weights: EmbedderWeights,
@@ -228,15 +229,12 @@ def query_phases(pcm: PcmStream, weights: EmbedderWeights,
 
 def best_of_phases(db: store_mod.Database, phases: list[np.ndarray],
                    cfg: PipelineConfig, stats=None) -> MatchResult:
-    """Match every phase hypothesis; keep the highest-scoring (first on ties)."""
-    best: MatchResult | None = None
-    for fps in phases:
-        result = match_mod.recognize(fps, db.index, db.spans, db.radii,
-                                     cfg.matcher, stats=stats)
-        if best is None or result.score > best.score:
-            best = result
-    if best is None:
+    """Match all phase hypotheses in one pooled search; keep the
+    highest-scoring phase (first on ties)."""
+    if not phases:
         raise ValueError("audio shorter than one fingerprint window")
+    best = match_mod.recognize_phases(phases, db.index, db.spans, [db.radii],
+                                      cfg.matcher, stats=stats)[0]
     best.title = db.title_of(best.song_id)
     return best
 

@@ -4,6 +4,7 @@ training and gradient correctness."""
 import numpy as np
 import pytest
 
+from tunescout import embedder as embedder_mod
 from tunescout import nnops
 from tunescout.embedder import (
     EmbedderTopology,
@@ -115,6 +116,58 @@ def test_forward_matches_layer_by_layer_oracle():
     pre = np.concatenate(outs)
     ref = pre / np.linalg.norm(pre)
     assert np.allclose(got, ref, atol=1e-5)
+
+
+def _shifted_matmul_conv2d(x, w, b, stride=2):
+    """conv2d as kh*kw shifted matmuls, the formula for any channel count."""
+    kh, kw = w.shape[:2]
+    ph0, ph1, oh = nnops._same_pad(x.shape[1], kh, stride)
+    pw0, pw1, ow = nnops._same_pad(x.shape[2], kw, stride)
+    xp = np.pad(x, ((0, 0), (ph0, ph1), (pw0, pw1), (0, 0)))
+    y = np.zeros((x.shape[0], oh, ow, w.shape[3]), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            sl = xp[:, i : i + stride * (oh - 1) + 1 : stride, j : j + stride * (ow - 1) + 1 : stride, :]
+            y += sl @ w[i, j]
+    return y + b
+
+
+@pytest.mark.parametrize("shape", [(5, 96, 32, 1), (3, 7, 5, 1), (2, 9, 6, 3)])
+def test_conv2d_equals_shifted_matmul_formula_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[1])
+    x = rng.standard_normal(shape).astype(np.float32)
+    w = rng.standard_normal((3, 3, shape[3], 8)).astype(np.float32)
+    b = rng.standard_normal(8).astype(np.float32)
+    assert np.array_equal(nnops.conv2d(x, w, b), _shifted_matmul_conv2d(x, w, b))
+
+
+def test_training_step_identical_with_shifted_matmul_conv(monkeypatch):
+    # the output layout matters too: later layers' reductions follow it
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((6, TINY.frames, TINY.mel_bins)).astype(np.float32)
+    dout = rng.standard_normal((6, TINY.dim)).astype(np.float32)
+
+    def step():
+        w = init_weights(TINY, seed=5)
+        out, cache = forward_batch(x, w, train=True)
+        return out, backward_batch(dout, w, cache)
+
+    out, grads = step()
+    monkeypatch.setattr(embedder_mod, "conv2d", _shifted_matmul_conv2d)
+    ref_out, ref_grads = step()
+    assert np.array_equal(out, ref_out)
+    assert sorted(grads) == sorted(ref_grads)
+    for name in grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_elu_equals_where_formula_bit_for_bit(dtype, alpha):
+    rng = np.random.default_rng(13)
+    x = np.concatenate([rng.standard_normal(5000), 1e-30 * rng.standard_normal(100),
+                        [0.0, 80.0, -80.0, np.inf, -np.inf]]).astype(dtype)
+    assert np.array_equal(nnops.elu(x, alpha), np.where(x > 0, x, alpha * np.expm1(x)))
 
 
 # ------------------------------------------------------------------ stream

@@ -256,6 +256,49 @@ def test_search_probes_all_equals_exhaustive_oracle(built):
             [(int(idx.song_ids[i]), int(idx.offsets[i])) for i in order]
 
 
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_search_batch_rows_equal_single_vector_searches(built, exhaustive):
+    idx, fps = built
+    rng = np.random.default_rng(12)
+    qs = (fps[rng.choice(len(fps), 16, replace=False)]
+          + 0.1 * rng.standard_normal((16, fps.shape[1]))).astype(np.float32)
+    probes = idx.partitioner.n_partitions if exhaustive else None
+    batch_stats, single_stats = SearchStats(), SearchStats()
+    rows = idx.search_batch(qs, 10, probes=probes, stats=batch_stats)
+    singles = [idx.search_topk(q, 10, probes=probes, stats=single_stats) for q in qs]
+    assert rows == singles
+    assert (batch_stats.scanned, batch_stats.total) == (single_stats.scanned, single_stats.total)
+
+
+def _per_partition_lut_search(idx, q, k):
+    """The search before the query/partition term split: a float32 table of
+    ||r_j - b_jk||^2 per probed partition, r = q - c_p."""
+    q = np.asarray(q, dtype=np.float64)
+    m, sub = idx.codebook.n_subspaces, idx.codebook.sub_dim
+    pids, _ = idx._probe_list(q, None)
+    rows, dists = [], []
+    for pid in pids:
+        members = idx.posting(pid)
+        r = (q - idx.partitioner.centroids[pid]).astype(np.float32)
+        lut = ((r.reshape(m, 1, sub) - idx.codebook.centroids) ** 2).sum(axis=2)
+        rows.append(members)
+        dists.append(lut[np.arange(m), idx.codes[members].astype(np.intp)].sum(axis=1, dtype=np.float32))
+    rows, dist = np.concatenate(rows), np.concatenate(dists)
+    order = np.lexsort((idx.offsets[rows], idx.song_ids[rows], dist))[:k]
+    return [(int(idx.song_ids[i]), int(idx.offsets[i])) for i in rows[order]], dist[order]
+
+
+def test_search_equals_per_partition_lut_reference(built):
+    idx, fps = built
+    rng = np.random.default_rng(14)
+    qs = (fps[rng.choice(len(fps), 30, replace=False)]
+          + 0.1 * rng.standard_normal((30, fps.shape[1]))).astype(np.float32)
+    for q, hits in zip(qs, idx.search_batch(qs, 20)):
+        ids, dist = _per_partition_lut_search(idx, q, 20)
+        assert [(h.song_id, h.offset_s) for h in hits] == ids
+        assert np.allclose([h.approx_distance for h in hits], dist, atol=1e-5)
+
+
 def test_lut_distance_equals_direct_distance(built):
     idx, fps = built
     q = fps[5].astype(np.float64)
@@ -277,7 +320,7 @@ def test_hits_sorted_ascending(built):
 def test_scanned_fraction_exact(built):
     idx, fps = built
     stats = SearchStats()
-    probed = idx._probe_list(fps[0].astype(np.float64), None)
+    probed, _ = idx._probe_list(fps[0].astype(np.float64), None)
     expected = sum(len(idx.posting(p)) for p in probed)
     idx.search_topk(fps[0], 5, stats=stats)
     assert stats.scanned == expected

@@ -21,6 +21,17 @@ def test_pq_scan_matches_numpy_and_oracle(rng):
     assert np.allclose(got, oracle, atol=1e-4)
 
 
+def test_pq_scan_adds_subspaces_in_order_in_the_table_dtype(rng):
+    lut = rng.standard_normal((12, 256))
+    codes = rng.integers(0, 256, size=(300, 12), dtype=np.uint8)
+    got = kernels.pq_scan(lut, codes)
+    oracle = np.zeros(300)
+    for j in range(12):
+        oracle += lut[j, codes[:, j]]
+    assert got.dtype == np.float64
+    assert np.array_equal(got, oracle)
+
+
 def test_pq_scan_empty():
     lut = np.zeros((4, 256), dtype=np.float32)
     assert kernels.pq_scan(lut, np.empty((0, 4), dtype=np.uint8)).shape == (0,)

@@ -14,6 +14,8 @@ from tunescout.match import (
     collect_candidates,
     local_density,
     recognize,
+    recognize_phases,
+    score_candidates,
     score_sequence,
 )
 
@@ -186,6 +188,88 @@ def test_scores_in_unit_interval(small_db):
         cand = SequenceCandidate(song_id=int(rng.integers(10)), start_offset=0, support=1)
         s = score_sequence(q, cand, idx, spans, radii)
         assert 0.0 <= s <= 1.0
+
+
+def _score_sequence_reference(query_fps, cand, idx, spans, radii):
+    """The per-candidate scorer as it was before candidates were batched."""
+    t = len(query_fps)
+    start, count = spans[cand.song_id]
+    g = np.full(t, -1, dtype=np.int64)
+    for i in range(t):
+        off = cand.start_offset + i
+        if 0 <= off < count:
+            g[i] = start + off
+    valid = g >= 0
+    if not valid.any():
+        raise ValueError("candidate alignment fully outside song bounds")
+    d2 = ((query_fps[valid] - idx.decode(g[valid])) ** 2).sum(axis=1)
+    r = radii[g[valid]]
+    sims = np.zeros(t)
+    sims[valid] = np.exp(-d2 / (r * r))
+    return float(sims.mean())
+
+
+def test_batched_scores_equal_per_candidate_reference(small_db):
+    idx, spans, radii = small_db
+    rng = np.random.default_rng(7)
+    q = (idx.decode(np.arange(3 * 30 + 20, 3 * 30 + 30))
+         + 0.1 * rng.standard_normal((10, 16))).astype(np.float32)
+    cands = [SequenceCandidate(3, 20, 5), SequenceCandidate(3, -4, 1),  # starts before the song
+             SequenceCandidate(3, 25, 1), SequenceCandidate(7, 0, 2),   # runs past its end
+             SequenceCandidate(9, 29, 1), SequenceCandidate(2, 500, 1),
+             SequenceCandidate(0, -10, 1)]                              # the last two: fully outside
+    radii_sets = [radii, np.ones(idx.n_points), rng.uniform(0.2, 2.0, idx.n_points)]
+    scores, aligned = score_candidates(q, cands, idx, spans, radii_sets)
+    assert scores.shape == (3, len(cands))
+    assert aligned.tolist() == [True] * 5 + [False] * 2
+    for c, ok, col in zip(cands, aligned, scores.T):
+        for r, s in zip(radii_sets, col):
+            if not ok:
+                assert s == 0.0
+                with pytest.raises(ValueError):
+                    _score_sequence_reference(q, c, idx, spans, r)
+                with pytest.raises(ValueError):
+                    score_sequence(q, c, idx, spans, r)
+                continue
+            expected = _score_sequence_reference(q, c, idx, spans, r)
+            assert s == expected
+            assert score_sequence(q, c, idx, spans, r) == expected
+
+
+def _recognize_reference(phases, idx, spans, radii, cfg):
+    """The matcher before pooling: per phase, one search per vector, voting,
+    one score_sequence per candidate, acceptance; the best phase, first on ties."""
+    best = None
+    for fps in phases:
+        hits = [idx.search_topk(q, cfg.top_k) for q in fps]
+        scored = []
+        for c in collect_candidates(hits, cfg.max_candidates):
+            scored.append(MatchResult(c.song_id, c.start_offset,
+                                      _score_sequence_reference(fps, c, idx, spans, radii),
+                                      False, 0.0))
+        result = adaptive_accept(scored, cfg.theta_abs, cfg.theta_gap)
+        if best is None or result.score > best.score:
+            best = result
+    return best
+
+
+def test_pooled_phases_equal_per_phase_loop(small_db):
+    idx, spans, radii = small_db
+    rng = np.random.default_rng(8)
+    cfg = MatcherConfig()
+    unit = np.ones(idx.n_points)
+    for song, start, noise in ((6, 2, 0.15), (1, 20, 0.3), (4, 0, 0.6), (8, 25, 0.05)):
+        seq = idx.decode(np.arange(song * 30 + start, song * 30 + min(30, start + 8)))
+        phases = [(seq + noise * rng.standard_normal(seq.shape)).astype(np.float32)
+                  for _ in range(4)]
+        phases[3] = phases[3][:-2]  # the last phase is shorter, as in a real query
+        got = recognize_phases(phases, idx, spans, [radii, unit], cfg)
+        for r, result in zip((radii, unit), got):
+            assert result.to_dict() == _recognize_reference(phases, idx, spans, r, cfg).to_dict()
+    # two phases that both score exactly 1: the first one is kept
+    tied = [idx.decode(np.arange(6 * 30 + 2, 6 * 30 + 10)), idx.decode(np.arange(30 + 10, 30 + 18))]
+    for result in recognize_phases(tied, idx, spans, [radii, unit], cfg):
+        assert (result.song_id, result.offset_s, result.score) == (6, 2, 1.0)
 
 
 # ------------------------------------------------------------- acceptance

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tunescout.corpus import CorpusConfig, song_audio, to_pcm
+from tunescout.embedder import fingerprint_stream
 from tunescout.embedder import init_weights as emb_init
 from tunescout.frontend import FrontendConfig, log_mel_frames
 from tunescout.pipeline import (
@@ -69,6 +70,22 @@ def test_phase_starts_cover_the_hop():
             # a shifted phase is a different windowing, not a shuffled copy
             assert fps.shape[1] == TINY.dim
             assert not np.allclose(fps[0], direct[0])
+
+
+@pytest.mark.parametrize("n_frames", [96, 120, 170, 998])
+def test_one_embedder_batch_equals_per_phase_calls(n_frames):
+    frames = np.random.default_rng(n_frames).standard_normal((n_frames, 32)).astype(np.float32)
+    # the previous per-phase loop: one embedder call per phase
+    expected = []
+    for i in range(4):
+        start = i * TINY.hop_frames // 4
+        if n_frames - start < TINY.frames:
+            break
+        expected.append(fingerprint_stream(frames[start:], WEIGHTS))
+    got = fingerprint_phases(frames, WEIGHTS, n_phases=4)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
 
 
 def test_short_audio_keeps_only_feasible_phases():

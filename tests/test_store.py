@@ -13,7 +13,7 @@ from tunescout.errors import (
     DbMagicError,
     DbVersionError,
 )
-from tunescout.index import train_partitioner, train_pq
+from tunescout.index import pq_decode, train_partitioner, train_pq
 from tunescout.store import SongRecord, build_database, load_db, serialize
 
 
@@ -174,3 +174,18 @@ def test_loaded_db_scores_identically(db, blob):
 def test_storage_report_payload_ratio_vs_d128():
     # d=96 (M=12) vs d=128 (M=16): code payload is 25% smaller
     assert 12 / 16 == 0.75
+
+
+def test_load_leaves_partition_terms_to_the_first_search(blob):
+    loaded = load_db(blob)
+    idx = loaded.index
+    assert idx._terms is None  # set-up builds no search tables
+    idx.search_batch(idx.decode(np.arange(3)), 5)
+    terms = idx._terms
+    assert terms is not None and terms.shape == (idx.n_points,)
+    # 2<c_p, y> + ||y||^2 = ||c_p + y||^2 - ||c_p||^2 for each fingerprint
+    c = idx.partitioner.centroids.astype(np.float64)[idx.partition_ids]
+    y = pq_decode(idx.codes, idx.codebook).astype(np.float64)
+    assert np.allclose(terms, ((c + y) ** 2).sum(axis=1) - (c ** 2).sum(axis=1), atol=1e-9)
+    idx.search_batch(idx.decode(np.arange(3)), 5)
+    assert idx._terms is terms  # kept, not rebuilt
