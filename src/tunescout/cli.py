@@ -36,7 +36,7 @@ def _read_audio(path: str, raw_pcm: bool) -> PcmStream:
     data = Path(path).read_bytes()
     if raw_pcm:
         return PcmStream(samples=np.frombuffer(data, dtype="<i2").copy(),
-                         sample_rate=CANONICAL_RATE, channels=1)
+                         sample_rate=CANONICAL_RATE)
     return decode_wav(data)
 
 
@@ -101,7 +101,7 @@ def cmd_train(args) -> int:
     if args.what in ("detector", "both"):
         _log("training detector")
         clips = corpus_mod.detector_clips(args.detector_clips, seed=cfg.seed)
-        feats = [log_mel_frames(corpus_mod.to_pcm(w_), cfg.frontend) for w_, _ in clips]
+        feats = [log_mel_frames(corpus_mod.to_pcm(w_)) for w_, _ in clips]
         labels = [lab for _, lab in clips]
         dw = det_mod.train_detector(feats, labels,
                                     hyper=det_mod.DetectorTrainConfig(steps=args.steps, seed=cfg.seed))
@@ -202,10 +202,11 @@ def cmd_eval_detector(args) -> int:
         pos += dur + float(rng.uniform(120.0, 200.0))
         i += 1
     wave = corpus_mod.ambient_audio(length_s, regions, corpus_cfg, seed=cfg.seed)
-    probs, times = evalrun.detector_prediction_stream(wave, det, cfg.frontend)
+    probs, times = evalrun.detector_prediction_stream(wave, det)
     gate = replace(cfg.gate, refractory_s=args.refractory_s)
     print("threshold,consecutive,recall,fp_per_hour")
-    for row in evalrun.detector_sweep(probs, times, regions, gate, length_s):
+    for row in evalrun.detector_sweep(probs, times, regions, gate, length_s,
+                                      cadence_s=det.topology.cadence_s):
         print(f"{row['threshold']},{row['consecutive']},{row['recall']:.4f},"
               f"{row['fp_per_hour']:.4f}")
     return 0

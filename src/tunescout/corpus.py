@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frontend import PcmStream
-
-SR = 16000
+from .frontend import CANONICAL_RATE, PcmStream
 
 
 @dataclass(frozen=True)
@@ -21,7 +19,7 @@ class CorpusConfig:
     n_songs: int = 100
     duration_s: float = 60.0
     seed: int = 7
-    sample_rate: int = SR
+    sample_rate: int = CANONICAL_RATE
 
 
 def _song_rng(cfg: CorpusConfig, song_id: int) -> np.random.Generator:
@@ -63,7 +61,7 @@ def song_audio(cfg: CorpusConfig, song_id: int) -> np.ndarray:
 
 
 def noise_audio(duration_s: float, rng: np.random.Generator, kind: str = "mix",
-                sample_rate: int = SR) -> np.ndarray:
+                sample_rate: int = CANONICAL_RATE) -> np.ndarray:
     """Synthetic ambient noise: white, low-passed, or amplitude-modulated."""
     n = int(duration_s * sample_rate)
     white = rng.normal(0, 1, n)
@@ -105,9 +103,9 @@ def mix_at_snr(signal: np.ndarray, noise: np.ndarray, snr_db: float) -> np.ndarr
     return out.astype(np.float32)
 
 
-def to_pcm(wave: np.ndarray, sample_rate: int = SR) -> PcmStream:
+def to_pcm(wave: np.ndarray, sample_rate: int = CANONICAL_RATE) -> PcmStream:
     samples = np.clip(np.round(wave * 32767.0), -32768, 32767).astype(np.int16)
-    return PcmStream(samples=samples, sample_rate=sample_rate, channels=1)
+    return PcmStream(samples=samples, sample_rate=sample_rate)
 
 
 # ------------------------------------------------------------------ queries
@@ -181,7 +179,7 @@ def spec_to_dict(spec: QuerySpec) -> dict:
 # ------------------------------------------------------- detector material
 
 def detector_clips(n_clips: int, seed: int, clip_s: float = 5.0,
-                   snrs=(20.0, 10.0, 5.0), sample_rate: int = SR):
+                   snrs=(20.0, 10.0, 5.0), sample_rate: int = CANONICAL_RATE):
     """(waveform, label) pairs: harmonic music (label 1, possibly noisy)
     vs. noise/silence (label 0)."""
     rng = np.random.default_rng([seed, 4242])

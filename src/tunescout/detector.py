@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nnops
+from .frontend import HOP_S
 from .nnops import (
     Adam,
     batchnorm,
@@ -52,6 +53,11 @@ class DetectorTopology:
     @property
     def cadence_frames(self) -> int:
         return self.stride**self.n_layers
+
+    @property
+    def cadence_s(self) -> float:
+        """Seconds between streaming predictions."""
+        return self.cadence_frames * HOP_S
 
     def parameter_count(self) -> int:
         c = self.channels
@@ -248,7 +254,6 @@ class GateConfig:
     smoothing_window_s: float = 4.0
     refractory_s: float = 60.0
     buffer_len_s: float = 8.0
-    cadence_s: float = 0.64
 
     def __post_init__(self):
         if not 0 < self.threshold < 1:
@@ -264,13 +269,15 @@ class GateEvent:
     mean_confidence: float
 
 
-def smooth_and_gate(predictions, cfg: GateConfig, start_time_s: float = 0.0) -> list[GateEvent]:
+def smooth_and_gate(predictions, cfg: GateConfig, start_time_s: float = 0.0,
+                    cadence_s: float = DetectorTopology().cadence_s) -> list[GateEvent]:
     """Sliding-mean smoothing plus c-consecutive-over-threshold triggering.
 
-    Prediction i is timestamped start_time_s + i*cadence. After an event the
-    gate is suppressed for refractory_s (measured fire to fire).
+    Prediction i is timestamped start_time_s + i*cadence_s, cadence_s being
+    the prediction interval of the detector that made them. After an event
+    the gate is suppressed for refractory_s (measured fire to fire).
     """
-    win = max(1, int(round(cfg.smoothing_window_s / cfg.cadence_s)))
+    win = max(1, int(round(cfg.smoothing_window_s / cadence_s)))
     events: list[GateEvent] = []
     run = 0
     last_fire = -math.inf
@@ -278,7 +285,7 @@ def smooth_and_gate(predictions, cfg: GateConfig, start_time_s: float = 0.0) -> 
     for i, _ in enumerate(preds):
         smoothed = float(np.mean(preds[max(0, i - win + 1) : i + 1]))
         run = run + 1 if smoothed > cfg.threshold else 0
-        t = start_time_s + i * cfg.cadence_s
+        t = start_time_s + i * cadence_s
         if run >= cfg.consecutive and t - last_fire >= cfg.refractory_s:
             events.append(GateEvent(index=i, time_s=t, mean_confidence=smoothed))
             last_fire = t

@@ -25,6 +25,8 @@ from .nnops import (
     l2_normalize_bwd,
 )
 
+_BATCH_WINDOWS = 256  # windows per forward pass in fingerprint_stream
+
 
 @dataclass(frozen=True)
 class EmbedderTopology:
@@ -212,7 +214,7 @@ def fingerprint_window(frames: np.ndarray, w: EmbedderWeights) -> np.ndarray:
     return out[0]
 
 
-def fingerprint_stream(frames: np.ndarray, w: EmbedderWeights, batch: int = 256,
+def fingerprint_stream(frames: np.ndarray, w: EmbedderWeights,
                        starts: tuple[int, ...] = (0,)) -> np.ndarray:
     """(n, dim) fingerprints at a 1 s hop; window right-aligned at each emission.
 
@@ -226,8 +228,8 @@ def fingerprint_stream(frames: np.ndarray, w: EmbedderWeights, batch: int = 256,
         raise ValueError(f"{n - max(starts)} frames is shorter than one {topo.frames}-frame window")
     ends = [e for s in starts for e in range(s + topo.frames, n + 1, topo.hop_frames)]
     out = np.empty((len(ends), topo.dim), dtype=np.float32)
-    for s in range(0, len(ends), batch):
-        chunk = np.stack([frames[e - topo.frames : e] for e in ends[s : s + batch]])
+    for s in range(0, len(ends), _BATCH_WINDOWS):
+        chunk = np.stack([frames[e - topo.frames : e] for e in ends[s : s + _BATCH_WINDOWS]])
         out[s : s + len(chunk)], _ = forward_batch(chunk.astype(np.float32), w, train=False)
     return out
 

@@ -8,9 +8,9 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .corpus import CorpusConfig, MusicRegion, QuerySpec
-from .detector import DetectorWeights, GateConfig, batch_predictions, smooth_and_gate
+from .detector import DetectorTopology, DetectorWeights, GateConfig, batch_predictions, smooth_and_gate
 from .embedder import EmbedderWeights
-from .frontend import FrontendConfig, log_mel_frames
+from .frontend import HOP_S, log_mel_frames
 from .index import SearchStats
 from .match import recognize_phases
 from .pipeline import PipelineConfig, query_phases
@@ -88,23 +88,23 @@ def precision_at_recall(rows: list[dict], target_recall: float) -> float:
 
 # --------------------------------------------------------- detector sweeps
 
-def detector_prediction_stream(wave: np.ndarray, det: DetectorWeights,
-                               frontend: FrontendConfig | None = None):
+def detector_prediction_stream(wave: np.ndarray, det: DetectorWeights):
     """Batch-cadence predictions plus their timestamps in seconds."""
-    frontend = frontend or FrontendConfig()
-    frames = log_mel_frames(corpus_mod.to_pcm(wave), frontend)
+    frames = log_mel_frames(corpus_mod.to_pcm(wave))
     preds = batch_predictions(frames, det)
-    hop_s = frontend.hop_ms / 1000.0
-    times = np.array([e * hop_s for e, _ in preds])
+    times = np.array([e * HOP_S for e, _ in preds])
     probs = np.array([p for _, p in preds])
     return probs, times
 
 
 def gate_region_metrics(probs: np.ndarray, times: np.ndarray,
                         regions: list[MusicRegion], gate: GateConfig,
-                        total_s: float, slack_s: float = 8.0) -> dict:
-    """Recall over music regions and false positives per hour outside them."""
-    events = smooth_and_gate(probs, gate, start_time_s=float(times[0]) if len(times) else 0.0)
+                        total_s: float, slack_s: float = 8.0,
+                        cadence_s: float = DetectorTopology().cadence_s) -> dict:
+    """Recall over music regions and false positives per hour outside them;
+    cadence_s is the prediction interval of the detector behind probs."""
+    events = smooth_and_gate(probs, gate, start_time_s=float(times[0]) if len(times) else 0.0,
+                             cadence_s=cadence_s)
     hit = [False] * len(regions)
     fp = 0
     for ev in events:
@@ -127,13 +127,14 @@ def gate_region_metrics(probs: np.ndarray, times: np.ndarray,
 
 def detector_sweep(probs: np.ndarray, times: np.ndarray, regions: list[MusicRegion],
                    gate: GateConfig, total_s: float,
-                   thresholds: np.ndarray | None = None) -> list[dict]:
+                   thresholds: np.ndarray | None = None,
+                   cadence_s: float = DetectorTopology().cadence_s) -> list[dict]:
     if thresholds is None:
         thresholds = np.round(np.linspace(0.02, 0.98, 25), 3)
     rows = []
     for th in thresholds:
         g = replace(gate, threshold=float(th))
-        m = gate_region_metrics(probs, times, regions, g, total_s)
+        m = gate_region_metrics(probs, times, regions, g, total_s, cadence_s=cadence_s)
         rows.append({"threshold": float(th), "consecutive": gate.consecutive,
                      "recall": m["recall"], "fp_per_hour": m["fp_per_hour"]})
     return rows

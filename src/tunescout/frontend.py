@@ -2,7 +2,8 @@
 
 The frontend feeds both the music detector (446-frame windows) and the
 fingerprinter (96-frame windows), so both consume the same 32-coefficient
-log-Mel frames at a 10 ms hop.
+log-Mel frames at a 10 ms hop. Its parameters are fixed: the model weights
+and the on-device DB are built for exactly this frontend.
 """
 
 import struct
@@ -12,7 +13,16 @@ import numpy as np
 
 from .errors import WavCodecError, WavHeaderError, WavTruncatedError
 
-CANONICAL_RATE = 16000
+CANONICAL_RATE = 16000  # Hz
+HOP_MS = 10
+WINDOW = CANONICAL_RATE * 25 // 1000  # 25 ms, in samples
+HOP = CANONICAL_RATE * HOP_MS // 1000
+HOP_S = HOP_MS / 1000.0
+FFT_SIZE = 512
+MEL_BINS = 32
+FMIN_HZ = 125.0
+FMAX_HZ = 7500.0
+LOG_FLOOR = 1e-6
 _BLOCK_FRAMES = 1024  # log-Mel frames per FFT block
 
 
@@ -20,34 +30,9 @@ _BLOCK_FRAMES = 1024  # log-Mel frames per FFT block
 class PcmStream:
     samples: np.ndarray  # int16, mono after canonicalization
     sample_rate: int
-    channels: int = 1
 
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate
-
-
-@dataclass(frozen=True)
-class FrontendConfig:
-    sample_rate: int = CANONICAL_RATE
-    window_ms: int = 25
-    hop_ms: int = 10
-    mel_bins: int = 32
-    fft_size: int = 512
-    fmin_hz: float = 125.0
-    fmax_hz: float = 7500.0
-    log_floor: float = 1e-6
-
-    @property
-    def window(self) -> int:
-        return self.sample_rate * self.window_ms // 1000
-
-    @property
-    def hop(self) -> int:
-        return self.sample_rate * self.hop_ms // 1000
-
-    @property
-    def frames_per_second(self) -> int:
-        return 1000 // self.hop_ms
 
 
 def decode_wav(data: bytes) -> PcmStream:
@@ -92,7 +77,7 @@ def decode_wav(data: bytes) -> PcmStream:
     if channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)
         samples = np.round(samples).astype(np.int16)
-    return PcmStream(samples=samples.copy(), sample_rate=rate, channels=1)
+    return PcmStream(samples=samples.copy(), sample_rate=rate)
 
 
 def encode_wav(stream: PcmStream) -> bytes:
@@ -130,7 +115,7 @@ def resample(stream: PcmStream, target_hz: int) -> PcmStream:
     pos = np.arange(n_out) * ratio
     out = np.interp(pos, np.arange(n_in), stream.samples.astype(np.float64))
     out = np.clip(np.round(out), -32768, 32767).astype(np.int16)
-    return PcmStream(samples=out, sample_rate=target_hz, channels=1)
+    return PcmStream(samples=out, sample_rate=target_hz)
 
 
 def canonicalize(stream: PcmStream) -> PcmStream:
@@ -145,21 +130,23 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_center_frequencies(cfg: FrontendConfig) -> np.ndarray:
+def _mel_edges_hz() -> np.ndarray:
+    """MEL_BINS + 2 filter edges in Hz, evenly spaced on the Mel scale."""
+    return _mel_to_hz(np.linspace(_hz_to_mel(FMIN_HZ), _hz_to_mel(FMAX_HZ), MEL_BINS + 2))
+
+
+def mel_center_frequencies() -> np.ndarray:
     """Center frequency in Hz of each triangular Mel filter."""
-    pts = np.linspace(_hz_to_mel(cfg.fmin_hz), _hz_to_mel(cfg.fmax_hz), cfg.mel_bins + 2)
-    return _mel_to_hz(pts)[1:-1]
+    return _mel_edges_hz()[1:-1]
 
 
-def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
-    """(mel_bins, fft_size//2 + 1) triangular filterbank on the Mel scale."""
-    n_freqs = cfg.fft_size // 2 + 1
-    freqs = np.linspace(0.0, cfg.sample_rate / 2.0, n_freqs)
-    pts = _mel_to_hz(
-        np.linspace(_hz_to_mel(cfg.fmin_hz), _hz_to_mel(cfg.fmax_hz), cfg.mel_bins + 2)
-    )
-    fb = np.zeros((cfg.mel_bins, n_freqs))
-    for m in range(cfg.mel_bins):
+def mel_filterbank() -> np.ndarray:
+    """(MEL_BINS, FFT_SIZE//2 + 1) triangular filterbank on the Mel scale."""
+    n_freqs = FFT_SIZE // 2 + 1
+    freqs = np.linspace(0.0, CANONICAL_RATE / 2.0, n_freqs)
+    pts = _mel_edges_hz()
+    fb = np.zeros((MEL_BINS, n_freqs))
+    for m in range(MEL_BINS):
         lo, ctr, hi = pts[m], pts[m + 1], pts[m + 2]
         up = (freqs - lo) / (ctr - lo)
         down = (hi - freqs) / (hi - ctr)
@@ -167,29 +154,27 @@ def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
     return fb
 
 
-def log_mel_frames(stream: PcmStream, cfg: FrontendConfig | None = None) -> np.ndarray:
-    """Compute (n_frames, mel_bins) log-Mel features from canonical 16 kHz mono.
+def log_mel_frames(stream: PcmStream) -> np.ndarray:
+    """Compute (n_frames, MEL_BINS) log-Mel features from canonical 16 kHz mono.
 
     Per frame: Hann window -> power spectrum -> triangular Mel bank ->
-    log(max(energy, log_floor)). Frame count is floor((n - window)/hop) + 1.
+    log(max(energy, LOG_FLOOR)). Frame count is floor((n - WINDOW)/HOP) + 1.
     Frames are processed in blocks of 1024 (the last block takes the
     remainder), so the working memory does not depend on the input length;
     only the float32 output grows with it.
     """
-    cfg = cfg or FrontendConfig()
-    if stream.sample_rate != cfg.sample_rate:
+    if stream.sample_rate != CANONICAL_RATE:
         raise ValueError(
-            f"expected {cfg.sample_rate} Hz input, got {stream.sample_rate} (canonicalize first)"
+            f"expected {CANONICAL_RATE} Hz input, got {stream.sample_rate} (canonicalize first)"
         )
     x = np.asarray(stream.samples)
-    win, hop = cfg.window, cfg.hop
-    if len(x) < win:
-        raise ValueError(f"stream of {len(x)} samples is shorter than one {win}-sample window")
-    n_frames = (len(x) - win) // hop + 1
-    frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop][:n_frames]
-    window = np.hanning(win)
-    fb_t = mel_filterbank(cfg).T
-    out = np.empty((n_frames, cfg.mel_bins), dtype=np.float32)
+    if len(x) < WINDOW:
+        raise ValueError(f"stream of {len(x)} samples is shorter than one {WINDOW}-sample window")
+    n_frames = (len(x) - WINDOW) // HOP + 1
+    frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW)[::HOP][:n_frames]
+    window = np.hanning(WINDOW)
+    fb_t = mel_filterbank().T
+    out = np.empty((n_frames, MEL_BINS), dtype=np.float32)
     # The last block takes the remainder (up to 2047 frames): BLAS rounds a
     # product of a few dozen rows differently from the same rows inside a
     # large product, so no block may be short unless it is the whole input.
@@ -198,8 +183,8 @@ def log_mel_frames(stream: PcmStream, cfg: FrontendConfig | None = None) -> np.n
         block = frames[s:e].astype(np.float64)
         block *= 1.0 / 32768.0
         block *= window
-        spec = np.fft.rfft(block, n=cfg.fft_size)
+        spec = np.fft.rfft(block, n=FFT_SIZE)
         power = np.square(spec.real)
         power += np.square(spec.imag)
-        out[s:e] = np.log(np.maximum(power @ fb_t, cfg.log_floor))
+        out[s:e] = np.log(np.maximum(power @ fb_t, LOG_FLOOR))
     return out

@@ -14,6 +14,8 @@ import numpy as np
 
 from . import kernels
 
+MIN_SCAN_POINTS = 256  # a search scans at least this many points (or all)
+
 
 def kmeans(data: np.ndarray, k: int, seed: int = 0, iters: int = 15):
     """Lloyd's algorithm with k-means++ init.
@@ -177,7 +179,7 @@ class FingerprintIndex:
     def __init__(self, partitioner: PartitionerModel, codebook: PQCodebook,
                  codes: np.ndarray, partition_ids: np.ndarray,
                  song_ids: np.ndarray, offsets: np.ndarray,
-                 coverage: float = 0.02, min_scan_points: int = 256):
+                 coverage: float = 0.02):
         self.partitioner = partitioner
         self.codebook = codebook
         self.codes = np.ascontiguousarray(codes, dtype=np.uint8)
@@ -185,7 +187,6 @@ class FingerprintIndex:
         self.song_ids = np.asarray(song_ids, dtype=np.int32)
         self.offsets = np.asarray(offsets, dtype=np.int32)
         self.coverage = coverage
-        self.min_scan_points = min_scan_points
         p = partitioner.n_partitions
         order = np.argsort(self.partition_ids, kind="stable")
         self._posting_order = order.astype(np.int64)
@@ -221,7 +222,7 @@ class FingerprintIndex:
             return order[:probes], cd2
         # coverage drives large DBs; the point floor keeps small DBs useful
         target = max(self.coverage * self.n_points,
-                     min(self.min_scan_points, self.n_points))
+                     min(MIN_SCAN_POINTS, self.n_points))
         counts = self._posting_starts[order + 1] - self._posting_starts[order]
         cum = np.cumsum(counts)
         need = int(np.searchsorted(cum, target)) + 1

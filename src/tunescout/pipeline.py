@@ -16,10 +16,10 @@ from . import index as index_mod
 from . import match as match_mod
 from . import store as store_mod
 from .corpus import CorpusConfig, to_pcm
-from .detector import DetectorWeights, GateConfig, StreamingDetector, smooth_and_gate
+from .detector import DetectorWeights, GateConfig, smooth_and_gate, streaming_predictions
 from .embedder import EmbedderTopology, EmbedderWeights, fingerprint_stream
 from .errors import ConfigError
-from .frontend import FrontendConfig, PcmStream, canonicalize, log_mel_frames
+from .frontend import HOP_MS, HOP_S, PcmStream, canonicalize, log_mel_frames
 from .match import MatcherConfig, MatchResult
 
 
@@ -41,7 +41,6 @@ class PipelineConfig:
     seed: int = 7
     dim: int = 96
     embedder_preset: str = "default"
-    frontend: FrontendConfig = field(default_factory=FrontendConfig)
     gate: GateConfig = field(default_factory=GateConfig)
     matcher: MatcherConfig = field(default_factory=MatcherConfig)
     index: IndexConfig = field(default_factory=IndexConfig)
@@ -111,9 +110,8 @@ def _json_fits(kind, value) -> bool:
     return isinstance(value, allowed)
 
 
-def fingerprint_pcm(pcm: PcmStream, weights: EmbedderWeights,
-                    frontend: FrontendConfig | None = None) -> np.ndarray:
-    frames = log_mel_frames(canonicalize(pcm), frontend or FrontendConfig())
+def fingerprint_pcm(pcm: PcmStream, weights: EmbedderWeights) -> np.ndarray:
+    frames = log_mel_frames(canonicalize(pcm))
     return fingerprint_stream(frames, weights)
 
 
@@ -140,29 +138,26 @@ def fingerprint_phases(frames: np.ndarray, weights: EmbedderWeights,
     return np.split(fps, np.cumsum(counts)[:-1])
 
 
-def fingerprint_wave(wave: np.ndarray, weights: EmbedderWeights,
-                     frontend: FrontendConfig | None = None) -> np.ndarray:
-    return fingerprint_pcm(to_pcm(wave), weights, frontend)
+def fingerprint_wave(wave: np.ndarray, weights: EmbedderWeights) -> np.ndarray:
+    return fingerprint_pcm(to_pcm(wave), weights)
 
 
 # ------------------------------------------------------- embedder training
 
 def embedder_training_set(cfg: CorpusConfig, n_songs: int | None = None,
                           offsets_per_song: int = 8, noisy_copies: int = 2,
-                          seed: int = 0, frontend: FrontendConfig | None = None,
-                          topo: EmbedderTopology | None = None):
+                          seed: int = 0, topo: EmbedderTopology | None = None):
     """Aligned clean/noisy training windows from the synthetic corpus.
 
     Returns (windows (N, frames, mels), song_ids, offsets_ms). Alignment is
     known by construction: noisy copies are the same song mixed with noise,
     so a window at the same frame offset is a positive pair.
     """
-    frontend = frontend or FrontendConfig()
     topo = topo or EmbedderTopology()
     n_songs = min(n_songs or cfg.n_songs, cfg.n_songs)
     rng = np.random.default_rng([cfg.seed, 555, seed])
     windows, song_ids, offsets_ms = [], [], []
-    fps_hop = frontend.frames_per_second
+    fps_hop = 1000 // HOP_MS  # frames per second
     for song in range(n_songs):
         wave = corpus_mod.song_audio(cfg, song)
         versions = [wave]
@@ -170,7 +165,7 @@ def embedder_training_set(cfg: CorpusConfig, n_songs: int | None = None,
             noise = corpus_mod.noise_audio(len(wave) / cfg.sample_rate, rng,
                                            sample_rate=cfg.sample_rate)
             versions.append(corpus_mod.mix_at_snr(wave, noise, float(rng.choice([20.0, 10.0, 5.0]))))
-        feats = [log_mel_frames(to_pcm(v, cfg.sample_rate), frontend) for v in versions]
+        feats = [log_mel_frames(to_pcm(v, cfg.sample_rate)) for v in versions]
         max_start = feats[0].shape[0] - topo.frames - fps_hop
         if max_start <= 0:
             continue
@@ -180,7 +175,7 @@ def embedder_training_set(cfg: CorpusConfig, n_songs: int | None = None,
                 jitter = int(rng.integers(-20, 21))  # +-200 ms, inside pos tolerance
                 s = int(np.clip(start + jitter, 0, f.shape[0] - topo.frames))
                 windows.append(f[s : s + topo.frames])
-                offsets_ms.append(s * frontend.hop_ms)
+                offsets_ms.append(s * HOP_MS)
                 song_ids.append(song)
     return np.stack(windows), np.array(song_ids), np.array(offsets_ms)
 
@@ -189,7 +184,7 @@ def train_pipeline_embedder(corpus_cfg: CorpusConfig, cfg: PipelineConfig,
                             steps: int = 300, n_songs: int | None = None) -> EmbedderWeights:
     topo = cfg.embedder_topology()
     windows, song_ids, offsets_ms = embedder_training_set(
-        corpus_cfg, n_songs=n_songs, seed=cfg.seed, frontend=cfg.frontend, topo=topo)
+        corpus_cfg, n_songs=n_songs, seed=cfg.seed, topo=topo)
     hyper = emb_mod.EmbedderTrainConfig(steps=steps, seed=cfg.seed,
                                         pos_tolerance_ms=300.0)
     return emb_mod.train_embedder(windows, song_ids, offsets_ms, topo, hyper)
@@ -211,7 +206,7 @@ def build_database_from_corpus(corpus_cfg: CorpusConfig, weights: EmbedderWeight
     entries = []
     for song in range(corpus_cfg.n_songs):
         wave = corpus_mod.song_audio(corpus_cfg, song)
-        fps = fingerprint_wave(wave, weights, cfg.frontend)
+        fps = fingerprint_wave(wave, weights)
         rec = store_mod.SongRecord(song_id=song, title=f"synthetic song {song:04d}",
                                    artist="tunescout corpus", duration_s=corpus_cfg.duration_s)
         entries.append((rec, fps))
@@ -223,7 +218,7 @@ def build_database_from_corpus(corpus_cfg: CorpusConfig, weights: EmbedderWeight
 def query_phases(pcm: PcmStream, weights: EmbedderWeights,
                  cfg: PipelineConfig) -> list[np.ndarray]:
     """A query's fingerprints under each of the matcher's window phases."""
-    frames = log_mel_frames(canonicalize(pcm), cfg.frontend)
+    frames = log_mel_frames(canonicalize(pcm))
     return fingerprint_phases(frames, weights, cfg.matcher.query_phases)
 
 
@@ -254,22 +249,15 @@ def stream_file(db: store_mod.Database, pcm: PcmStream, emb_weights: EmbedderWei
     fingerprinter processed (duty-cycle proxy for the main-processor cost).
     """
     pcm = canonicalize(pcm)
-    frames = log_mel_frames(pcm, cfg.frontend)
-    det = StreamingDetector(det_weights)
-    preds = []
-    pred_times = []
-    hop_s = cfg.frontend.hop_ms / 1000.0
-    for i in range(frames.shape[0]):
-        p = det.push(frames[i])
-        if p is not None:
-            preds.append(p)
-            pred_times.append((i + 1) * hop_s)
+    emitted = streaming_predictions(log_mel_frames(pcm), det_weights)
+    preds = [p for _, p in emitted]
     events = []
     wakeups = 0
     fingerprinted_s = 0.0
     total_s = pcm.duration_s()
     if preds:
-        gate_events = smooth_and_gate(preds, cfg.gate, start_time_s=pred_times[0])
+        gate_events = smooth_and_gate(preds, cfg.gate, start_time_s=emitted[0][0] * HOP_S,
+                                      cadence_s=det_weights.topology.cadence_s)
         for ev in gate_events:
             wakeups += 1
             end = int(ev.time_s * pcm.sample_rate)

@@ -91,7 +91,7 @@ def test_acceptance_02_per_song_storage_budget():
     for s in range(corpus_cfg.n_songs):
         wave = song_audio(corpus_cfg, s)
         t0 = time.perf_counter()
-        frames = log_mel_frames(to_pcm(wave), cfg.frontend)
+        frames = log_mel_frames(to_pcm(wave))
         fps = fingerprint_stream(frames, weights)
         elapsed += time.perf_counter() - t0
         entries.append((SongRecord(song_id=s, title=f"song {s:04d}", artist="",

@@ -199,6 +199,7 @@ def test_eval_detector_csv(workdir, trained_detector, tmp_path, capsys):
     {"no_such_section": {}},                       # unknown top-level key
     {"matcher": 5},                                # section of the wrong type
     {"matcher": {"top_k": "20"}},                  # value of the wrong type
+    {"frontend": {"hop_ms": 20}},                  # the frontend is fixed
     "{not json",
 ])
 def test_recognize_bad_config_exits_two(workdir, tmp_path, capsys, config):
@@ -213,9 +214,13 @@ def test_recognize_bad_config_exits_two(workdir, tmp_path, capsys, config):
     assert err.strip().splitlines()[-1].startswith("error: ")
 
 
-def test_stream_bad_gate_config_exits_two(workdir, tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [
+    ("no_such_key", 1),
+    ("cadence_s", 1.28),  # derived from the detector, not configured
+], ids=["no_such_key", "cadence_s"])
+def test_stream_bad_gate_config_exits_two(workdir, tmp_path, capsys, key, value):
     gate_path = tmp_path / "gate.json"
-    gate_path.write_text(json.dumps({"threshold": 0.5, "no_such_key": 1}))
+    gate_path.write_text(json.dumps({"threshold": 0.5, key: value}))
     rc = cli.main(["stream", "--db", workdir["db"], "--weights", workdir["weights"],
                    "--detector-weights", str(tmp_path / "unused.npmd"),
                    "--wav", str(tmp_path / "unused.wav"), "--config", workdir["cfg"],
@@ -223,4 +228,4 @@ def test_stream_bad_gate_config_exits_two(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "Traceback" not in err
-    assert err.strip().splitlines() == ["error: gate config: unknown keys ['no_such_key']"]
+    assert err.strip().splitlines() == [f"error: gate config: unknown keys ['{key}']"]

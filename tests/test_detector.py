@@ -35,6 +35,7 @@ def test_layer_length_chain_matches_tabulated_sizes():
     assert TOPO.layer_lengths() == [446, 222, 110, 54, 26, 12, 5]
     assert TOPO.flat_size == 160
     assert TOPO.cadence_frames == 64
+    assert DetectorTopology().cadence_s == 0.64
 
 
 def test_parameter_count_arithmetic():
@@ -152,7 +153,7 @@ def test_emission_count_formula():
 def _gcfg(**kw):
     # smoothing window of one prediction so inputs are used as-is
     base = dict(threshold=0.5, consecutive=3, smoothing_window_s=0.64,
-                refractory_s=60.0, cadence_s=0.64)
+                refractory_s=60.0)
     base.update(kw)
     return GateConfig(**base)
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tunescout import frontend as fe
 from tunescout.errors import WavCodecError, WavHeaderError, WavTruncatedError
 from tunescout.frontend import (
-    FrontendConfig,
     PcmStream,
     decode_wav,
     encode_wav,
@@ -19,11 +19,9 @@ from tunescout.frontend import (
     resample,
 )
 
-CFG = FrontendConfig()
-
 
 def _pcm(samples, rate=16000):
-    return PcmStream(samples=np.asarray(samples, dtype=np.int16), sample_rate=rate, channels=1)
+    return PcmStream(samples=np.asarray(samples, dtype=np.int16), sample_rate=rate)
 
 
 def _tone(freq, duration_s=1.0, rate=16000, amp=10000):
@@ -57,7 +55,6 @@ def test_decode_stereo_averages_to_mono():
     hdr = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE",
                       b"fmt ", 16, 1, 2, 16000, 16000 * 4, 4, 16, b"data", len(payload))
     out = decode_wav(hdr + payload)
-    assert out.channels == 1
     assert np.all(out.samples == 0)
 
 
@@ -113,21 +110,21 @@ def test_resample_rejects_bad_rate():
 # ---------------------------------------------------------------- log-mel
 
 def test_frame_count_one_second():
-    frames = log_mel_frames(_pcm(np.zeros(16000)), CFG)
+    frames = log_mel_frames(_pcm(np.zeros(16000)))
     assert frames.shape == (98, 32)  # floor((16000-400)/160)+1
 
 
 def test_silence_hits_log_floor_everywhere():
-    frames = log_mel_frames(_pcm(np.zeros(16000)), CFG)
-    assert np.allclose(frames, np.log(CFG.log_floor))
+    frames = log_mel_frames(_pcm(np.zeros(16000)))
+    assert np.allclose(frames, np.log(fe.LOG_FLOOR))
 
 
 def test_pure_tone_peaks_at_nearest_mel_bin():
     # oracle: expected bin from filter center frequencies, computed without
     # running the mel pipeline on the audio
-    centers = mel_center_frequencies(CFG)
+    centers = mel_center_frequencies()
     expected = int(np.argmin(np.abs(centers - 1000.0)))
-    frames = log_mel_frames(_tone(1000.0), CFG)
+    frames = log_mel_frames(_tone(1000.0))
     got = np.bincount(frames.argmax(axis=1), minlength=32).argmax()
     assert abs(int(got) - expected) <= 1
 
@@ -140,29 +137,29 @@ def test_pure_tone_peaks_at_nearest_mel_bin():
 
 def test_too_short_stream_raises():
     with pytest.raises(ValueError):
-        log_mel_frames(_pcm(np.zeros(CFG.window - 1)), CFG)
+        log_mel_frames(_pcm(np.zeros(fe.WINDOW - 1)))
 
 
 def test_wrong_rate_raises():
     with pytest.raises(ValueError):
-        log_mel_frames(_pcm(np.zeros(8000), rate=8000), CFG)
+        log_mel_frames(_pcm(np.zeros(8000), rate=8000))
 
 
 def test_full_scale_input_is_finite():
     pcm = _pcm(np.tile([32767, -32768], 8000))
-    assert np.isfinite(log_mel_frames(pcm, CFG)).all()
+    assert np.isfinite(log_mel_frames(pcm)).all()
 
 
 def test_coefficients_bounded_below_by_floor():
-    frames = log_mel_frames(_tone(500), CFG)
-    assert (frames >= np.log(CFG.log_floor) - 1e-5).all()  # float32 rounding slack
+    frames = log_mel_frames(_tone(500))
+    assert (frames >= np.log(fe.LOG_FLOOR) - 1e-5).all()  # float32 rounding slack
 
 
 @settings(deadline=None, max_examples=20)
 @given(n=st.integers(min_value=400, max_value=20000))
 def test_frame_count_formula_property(n):
-    frames = log_mel_frames(_pcm(np.zeros(n)), CFG)
-    assert frames.shape[0] == (n - CFG.window) // CFG.hop + 1
+    frames = log_mel_frames(_pcm(np.zeros(n)))
+    assert frames.shape[0] == (n - fe.WINDOW) // fe.HOP + 1
 
 
 @settings(deadline=None, max_examples=10)
@@ -170,8 +167,8 @@ def test_frame_count_formula_property(n):
 def test_determinism_property(seed):
     rng = np.random.default_rng(seed)
     pcm = _pcm(rng.integers(-2000, 2000, size=4000))
-    a = log_mel_frames(pcm, CFG)
-    b = log_mel_frames(_pcm(pcm.samples.copy()), CFG)
+    a = log_mel_frames(pcm)
+    b = log_mel_frames(_pcm(pcm.samples.copy()))
     assert np.array_equal(a, b)
 
 
@@ -181,20 +178,20 @@ def test_gain_monotonicity_property(seed):
     # doubling amplitude (no clipping) never decreases any coefficient
     rng = np.random.default_rng(seed)
     base = rng.integers(-1000, 1000, size=4000)
-    lo = log_mel_frames(_pcm(base), CFG)
-    hi = log_mel_frames(_pcm(base * 2), CFG)
+    lo = log_mel_frames(_pcm(base))
+    hi = log_mel_frames(_pcm(base * 2))
     assert (hi >= lo - 1e-9).all()
 
 
-def _whole_array_log_mel(samples, cfg=CFG):
+def _whole_array_log_mel(samples):
     """The unblocked formula: every frame's float64 spectrum at once."""
     x = np.asarray(samples, dtype=np.float64) / 32768.0
-    n_frames = (len(x) - cfg.window) // cfg.hop + 1
-    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window)[::cfg.hop][:n_frames]
-    spec = np.fft.rfft(frames * np.hanning(cfg.window), n=cfg.fft_size)
+    n_frames = (len(x) - fe.WINDOW) // fe.HOP + 1
+    frames = np.lib.stride_tricks.sliding_window_view(x, fe.WINDOW)[::fe.HOP][:n_frames]
+    spec = np.fft.rfft(frames * np.hanning(fe.WINDOW), n=fe.FFT_SIZE)
     power = spec.real**2 + spec.imag**2
-    energy = power @ mel_filterbank(cfg).T
-    return np.log(np.maximum(energy, cfg.log_floor)).astype(np.float32)
+    energy = power @ mel_filterbank().T
+    return np.log(np.maximum(energy, fe.LOG_FLOOR)).astype(np.float32)
 
 
 @pytest.mark.parametrize("n_frames", [1, 1023, 1024, 1025, 2051, 2064])
@@ -202,10 +199,10 @@ def test_blocked_log_mel_equals_whole_array(n_frames):
     # blocks of 1024 frames, the last one taking the remainder; the extra
     # 100 samples fall short of a frame
     rng = np.random.default_rng(n_frames)
-    n = CFG.window + (n_frames - 1) * CFG.hop + 100
+    n = fe.WINDOW + (n_frames - 1) * fe.HOP + 100
     pcm = _pcm(rng.integers(-32768, 32768, size=n))
-    got = log_mel_frames(pcm, CFG)
-    assert got.shape == (n_frames, CFG.mel_bins)
+    got = log_mel_frames(pcm)
+    assert got.shape == (n_frames, fe.MEL_BINS)
     assert np.array_equal(got, _whole_array_log_mel(pcm.samples))
 
 
@@ -213,7 +210,7 @@ def test_blocked_log_mel_equals_whole_array_on_song():
     from tunescout.corpus import CorpusConfig, song_audio, to_pcm
 
     pcm = to_pcm(song_audio(CorpusConfig(n_songs=1, duration_s=240.0), 0))
-    assert np.array_equal(log_mel_frames(pcm, CFG), _whole_array_log_mel(pcm.samples))
+    assert np.array_equal(log_mel_frames(pcm), _whole_array_log_mel(pcm.samples))
 
 
 def test_log_mel_working_memory_is_bounded():
@@ -222,7 +219,7 @@ def test_log_mel_working_memory_is_bounded():
     pcm = _pcm(np.random.default_rng(0).integers(-3000, 3000, size=600 * 16000))
     tracemalloc.start()
     try:
-        log_mel_frames(pcm, CFG)
+        log_mel_frames(pcm)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
