@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DbBoundsError, DbChecksumError, DbMagicError, DbVersionError
-from .index import FingerprintIndex, PartitionerModel, PQCodebook, encode_index
+from .index import FingerprintIndex, PartitionerModel, PQCodebook, compression_ratio, encode_index
 from .match import MatcherConfig, local_density
 
 MAGIC = b"NPDB"
@@ -80,7 +80,7 @@ class Database:
             "subspaces": m,
             "code_bytes_per_fingerprint": m,
             "float_bytes_per_fingerprint": d * 4,
-            "compression_ratio": (d * 4) / m,
+            "compression_ratio": compression_ratio(d, m),
             "payload_bytes_per_song": payload / n_songs,
             "total_bytes_per_song": (payload + postings + metadata) / n_songs,
             "file_bytes": file_bytes,

@@ -7,8 +7,10 @@ module tests and the acceptance suite.
 
 import time
 
+import tunescout  # noqa: F401  (before numpy: the tests run the product's BLAS thread count)
 import numpy as np
 import pytest
+from blas_threads import blas_threads
 
 
 def pytest_configure(config):
@@ -22,6 +24,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(set(lines)):
             terminalreporter.write_line(line)
+    terminalreporter.write_line(f"BLAS threads: {blas_threads()}")
 
 from tunescout import evalrun
 from tunescout.corpus import CorpusConfig, MusicRegion, ambient_audio, detector_clips, make_queries, to_pcm
