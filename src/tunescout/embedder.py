@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nnops import (
+    BN_EPS,
     Adam,
     batchnorm,
     batchnorm_bwd,
@@ -21,6 +22,7 @@ from .nnops import (
     dense_bwd,
     elu,
     elu_bwd,
+    elu_inplace,
     l2_normalize,
     l2_normalize_bwd,
 )
@@ -202,16 +204,37 @@ def backward_batch(dout: np.ndarray, w: EmbedderWeights, cache) -> dict[str, np.
     return grads
 
 
-def fingerprint_window(frames: np.ndarray, w: EmbedderWeights) -> np.ndarray:
-    """One unit-norm fingerprint from a (frames, mel_bins) window."""
-    frames = np.asarray(frames)
+def _folded_conv(t: dict[str, np.ndarray], i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Conv layer i's weights and bias with its batch norm folded in."""
+    s = t[f"conv{i}_bn_gamma"] / np.sqrt(t[f"conv{i}_bn_var"] + BN_EPS)
+    b = (t[f"conv{i}_b"] - t[f"conv{i}_bn_mean"]) * s + t[f"conv{i}_bn_beta"]
+    return t[f"conv{i}_w"] * s, b
+
+
+def forward_inference(x: np.ndarray, w: EmbedderWeights) -> np.ndarray:
+    """forward_batch(x, w, train=False) in its inference form: (B, frames, mel_bins) -> (B, dim).
+
+    Each conv layer has its batch norm folded into its weights and bias and
+    runs as one im2col product, ELU runs in place, and the branch heads are
+    one batched matmul. The sums run in another order, so the outputs agree
+    with forward_batch to float32 rounding. The fold is redone per call and
+    nothing is written to w.tensors, whose BN statistics training updates.
+    """
     topo = w.topology
-    if frames.shape != (topo.frames, topo.mel_bins):
-        raise ValueError(f"expected {(topo.frames, topo.mel_bins)} window, got {frames.shape}")
-    if not np.isfinite(frames).all():
-        raise ValueError("window contains non-finite values")
-    out, _ = forward_batch(frames[None].astype(np.float32), w, train=False)
-    return out[0]
+    t = w.tensors
+    h = standardize_windows(x)[..., None]
+    for i in range(len(topo.conv_channels)):
+        h = elu_inplace(conv2d(h, *_folded_conv(t, i), topo.stride, im2col=True))
+
+    def stacked(name):
+        return np.stack([t[f"br{j}_{name}"] for j in range(topo.branches)])
+
+    feats = h.reshape(len(h), topo.branches, -1).transpose(1, 0, 2)  # (branches, B, branch_input)
+    hid = np.matmul(feats, stacked("w1"))
+    hid += stacked("b1")[:, None]
+    out = np.matmul(elu_inplace(hid), stacked("w2"))
+    out += stacked("b2")[:, None]
+    return l2_normalize(out.transpose(1, 0, 2).reshape(len(h), topo.dim))
 
 
 def fingerprint_stream(frames: np.ndarray, w: EmbedderWeights,
@@ -223,14 +246,18 @@ def fingerprint_stream(frames: np.ndarray, w: EmbedderWeights,
     all computed in the same batches.
     """
     topo = w.topology
+    if frames.ndim != 2 or frames.shape[1] != topo.mel_bins:
+        raise ValueError(f"expected (n, {topo.mel_bins}) frames, got {frames.shape}")
     n = frames.shape[0]
     if n - max(starts) < topo.frames:
         raise ValueError(f"{n - max(starts)} frames is shorter than one {topo.frames}-frame window")
+    if not np.isfinite(frames).all():
+        raise ValueError("frames contain non-finite values")
     ends = [e for s in starts for e in range(s + topo.frames, n + 1, topo.hop_frames)]
     out = np.empty((len(ends), topo.dim), dtype=np.float32)
     for s in range(0, len(ends), _BATCH_WINDOWS):
         chunk = np.stack([frames[e - topo.frames : e] for e in ends[s : s + _BATCH_WINDOWS]])
-        out[s : s + len(chunk)], _ = forward_batch(chunk.astype(np.float32), w, train=False)
+        out[s : s + len(chunk)] = forward_inference(chunk.astype(np.float32), w)
     return out
 
 

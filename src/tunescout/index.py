@@ -325,11 +325,3 @@ def encode_index(fingerprints: np.ndarray, song_ids: np.ndarray, offsets: np.nda
     codes = pq_encode(fingerprints - partitioner.centroids[pids], codebook)
     return FingerprintIndex(partitioner, codebook, codes, pids, song_ids, offsets, coverage)
 
-
-def build_index(fingerprints: np.ndarray, song_ids: np.ndarray, offsets: np.ndarray,
-                p: int | None = None, m: int | None = None, seed: int = 0,
-                coverage: float = 0.02) -> FingerprintIndex:
-    """Train partitioner + PQ on the database fingerprints and encode them."""
-    fingerprints = np.asarray(fingerprints, dtype=np.float32)
-    models = train_index_models(fingerprints, p, m, seed)
-    return encode_index(fingerprints, song_ids, offsets, *models, coverage=coverage)

@@ -7,6 +7,7 @@ the same order as the forward's parameters.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 BN_EPS = 1e-5
 
@@ -28,6 +29,15 @@ def elu(x, alpha=1.0):
     y *= alpha
     y += np.maximum(x, 0)
     return y
+
+
+def elu_inplace(x):
+    """elu(x) with alpha = 1, written into x: the same values."""
+    neg = np.minimum(x, 0)
+    np.expm1(neg, out=neg)
+    np.maximum(x, 0, out=x)
+    x += neg
+    return x
 
 
 def elu_bwd(x, dy, alpha=1.0):
@@ -138,7 +148,7 @@ def _same_pad(size, k, stride):
     return total // 2, total - total // 2, out
 
 
-def conv2d(x, w, b, stride=2):
+def conv2d(x, w, b, stride=2, im2col=False):
     """2-D convolution with TF-style 'same' padding.
 
     x: (B, H, W, Cin), w: (kh, kw, Cin, Cout) -> (B, ceil(H/s), ceil(W/s), Cout).
@@ -146,11 +156,23 @@ def conv2d(x, w, b, stride=2):
     one input channel each product has a single term, so it is a broadcast
     multiply with the same values, accumulated channel-major so that the
     inner loops run over whole feature maps.
+
+    With im2col=True (the inference form) it is one
+    (B*oh*ow, kh*kw*Cin) @ (kh*kw*Cin, Cout) product over the patches of the
+    padded input (Chellapilla, Puri & Simard 2006): far fewer, larger BLAS
+    calls, summed in another order, so the values differ in the last bits.
     """
     kh, kw = w.shape[:2]
     ph0, ph1, oh = _same_pad(x.shape[1], kh, stride)
     pw0, pw1, ow = _same_pad(x.shape[2], kw, stride)
     xp = np.pad(x, ((0, 0), (ph0, ph1), (pw0, pw1), (0, 0)))
+    if im2col:
+        # (B, oh, ow, Cin, kh, kw) window view -> rows of (kh, kw, Cin) taps, w's order
+        patches = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        cols = patches.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * x.shape[3])
+        y = cols @ w.reshape(-1, w.shape[3])
+        y += b
+        return y.reshape(x.shape[0], oh, ow, w.shape[3])
     one = x.shape[3] == 1
     shape = (w.shape[3], x.shape[0], oh, ow) if one else (x.shape[0], oh, ow, w.shape[3])
     y = np.zeros(shape, dtype=x.dtype)

@@ -10,6 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from index_helper import build_index
 
 from tunescout import store as store_mod
 from tunescout import weights_io
@@ -42,7 +43,6 @@ from tunescout.evalrun import (
 from tunescout.frontend import log_mel_frames
 from tunescout.index import (
     SearchStats,
-    build_index,
     compression_ratio,
     train_partitioner,
     train_pq,

@@ -12,8 +12,8 @@ from tunescout.embedder import (
     backward_batch,
     divide_and_encode,
     fingerprint_stream,
-    fingerprint_window,
     forward_batch,
+    forward_inference,
     init_weights,
     mine_triplets,
     standardize_windows,
@@ -23,6 +23,7 @@ from tunescout.embedder import (
 from tunescout.pipeline import PipelineConfig
 
 TINY = PipelineConfig(embedder_preset="tiny").embedder_topology()
+DEFAULT = PipelineConfig().embedder_topology()
 
 MICRO = EmbedderTopology(frames=8, mel_bins=8, conv_channels=(2, 3), branches=2,
                          branch_hidden=4, dim=8)
@@ -39,14 +40,33 @@ def _micro_weights(seed=0, perturb_bn=True):
     return w
 
 
+def _perturb_bn(w, seed):
+    """Move every conv layer's batch norm away from identity, so a fold
+    that drops or misplaces any of gamma, beta, mean or var shows."""
+    rng = np.random.default_rng(seed)
+    for i, c in enumerate(w.topology.conv_channels):
+        w.tensors[f"conv{i}_bn_gamma"] = rng.uniform(0.5, 1.5, c).astype(np.float32)
+        w.tensors[f"conv{i}_bn_beta"] = rng.normal(0, 0.3, c).astype(np.float32)
+        w.tensors[f"conv{i}_bn_mean"] = rng.normal(0, 0.3, c).astype(np.float32)
+        w.tensors[f"conv{i}_bn_var"] = rng.uniform(0.5, 2.0, c).astype(np.float32)
+    return w
+
+
+def _fingerprint_one(win, w):
+    """The fingerprint of one window, through the product's stream path."""
+    out = fingerprint_stream(win, w)
+    assert out.shape == (1, w.topology.dim)
+    return out[0]
+
+
 # ----------------------------------------------------------------- forward
 
 def test_fingerprint_unit_norm_and_deterministic():
     w = init_weights(TINY, seed=0)
     rng = np.random.default_rng(0)
     win = rng.standard_normal((TINY.frames, TINY.mel_bins)).astype(np.float32)
-    f1 = fingerprint_window(win, w)
-    f2 = fingerprint_window(win.copy(), w)
+    f1 = _fingerprint_one(win, w)
+    f2 = _fingerprint_one(win.copy(), w)
     assert f1.shape == (TINY.dim,)
     assert np.linalg.norm(f1) == pytest.approx(1.0, abs=1e-5)
     assert np.array_equal(f1, f2)
@@ -55,11 +75,11 @@ def test_fingerprint_unit_norm_and_deterministic():
 def test_fingerprint_validates_input():
     w = init_weights(TINY)
     with pytest.raises(ValueError):
-        fingerprint_window(np.zeros((10, 32)), w)
+        fingerprint_stream(np.zeros((10, 32)), w)
     bad = np.zeros((TINY.frames, TINY.mel_bins))
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):
-        fingerprint_window(bad, w)
+        fingerprint_stream(bad, w)
 
 
 def test_gain_invariance_of_fingerprints():
@@ -68,8 +88,8 @@ def test_gain_invariance_of_fingerprints():
     w = init_weights(TINY, seed=1)
     rng = np.random.default_rng(1)
     win = rng.standard_normal((TINY.frames, TINY.mel_bins)).astype(np.float32)
-    a = fingerprint_window(win, w)
-    b = fingerprint_window(win + 3.0, w)
+    a = _fingerprint_one(win, w)
+    b = _fingerprint_one(win + 3.0, w)
     assert np.allclose(a, b, atol=1e-4)
 
 
@@ -90,32 +110,95 @@ def _oracle_conv2d_same(x, w, b, stride):
     return y
 
 
-def test_forward_matches_layer_by_layer_oracle():
-    w = _micro_weights(seed=3)
-    rng = np.random.default_rng(3)
-    win = rng.standard_normal((MICRO.frames, MICRO.mel_bins)).astype(np.float32)
-    got = fingerprint_window(win, w)
-
-    # independent reference: explicit loops, no batched/fused paths
+def _oracle_forward(win, w):
+    """Fingerprint of one (frames, mel_bins) window by explicit float64
+    loops, with no batched, folded or fused path."""
+    topo = w.topology
     h = standardize_windows(win.astype(np.float64))[..., None]
-    t = w.tensors
-    for i in range(len(MICRO.conv_channels)):
-        z = _oracle_conv2d_same(h, t[f"conv{i}_w"].astype(np.float64),
-                                t[f"conv{i}_b"].astype(np.float64), MICRO.stride)
-        inv = 1.0 / np.sqrt(t[f"conv{i}_bn_var"].astype(np.float64) + nnops.BN_EPS)
+    t = {k: v.astype(np.float64) for k, v in w.tensors.items()}
+    for i in range(len(topo.conv_channels)):
+        z = _oracle_conv2d_same(h, t[f"conv{i}_w"], t[f"conv{i}_b"], topo.stride)
+        inv = 1.0 / np.sqrt(t[f"conv{i}_bn_var"] + nnops.BN_EPS)
         z = t[f"conv{i}_bn_gamma"] * (z - t[f"conv{i}_bn_mean"]) * inv + t[f"conv{i}_bn_beta"]
         h = np.where(z > 0, z, np.expm1(z))
     flat = h.reshape(-1)
-    bi = len(flat) // MICRO.branches
+    bi = len(flat) // topo.branches
     outs = []
-    for j in range(MICRO.branches):
+    for j in range(topo.branches):
         sl = flat[j * bi : (j + 1) * bi]
         hid = sl @ t[f"br{j}_w1"] + t[f"br{j}_b1"]
         hid = np.where(hid > 0, hid, np.expm1(hid))
         outs.append(hid @ t[f"br{j}_w2"] + t[f"br{j}_b2"])
     pre = np.concatenate(outs)
-    ref = pre / np.linalg.norm(pre)
-    assert np.allclose(got, ref, atol=1e-5)
+    return pre / np.linalg.norm(pre)
+
+
+def test_forward_matches_layer_by_layer_oracle():
+    w = _micro_weights(seed=3)
+    rng = np.random.default_rng(3)
+    win = rng.standard_normal((MICRO.frames, MICRO.mel_bins)).astype(np.float32)
+    got = _fingerprint_one(win, w)
+    assert np.allclose(got, _oracle_forward(win, w), atol=1e-5)
+
+
+@pytest.mark.parametrize("topo", [DEFAULT, TINY, MICRO], ids=["default", "tiny", "micro"])
+def test_inference_form_matches_float64_oracle(topo):
+    w = _perturb_bn(init_weights(topo, seed=17), seed=18)
+    rng = np.random.default_rng(17)
+    wins = rng.standard_normal((3, topo.frames, topo.mel_bins)).astype(np.float32)
+    got = forward_inference(wins, w)
+    for k in range(len(wins)):
+        assert np.abs(got[k] - _oracle_forward(wins[k], w)).max() <= 1e-6
+
+
+@pytest.mark.parametrize("batch", [1, 29, 256, 257])
+@pytest.mark.parametrize("topo", [DEFAULT, TINY], ids=["default", "tiny"])
+def test_inference_form_equals_forward_batch(topo, batch):
+    w = _perturb_bn(init_weights(topo, seed=batch), seed=batch + 1)
+    rng = np.random.default_rng(batch)
+    x = rng.standard_normal((batch, topo.frames, topo.mel_bins)).astype(np.float32)
+    ref, _ = forward_batch(x, w, train=False)
+    assert np.abs(forward_inference(x, w) - ref).max() <= 1e-6
+    # the same windows through fingerprint_stream, whose batches split 257 as 256 + 1
+    gap = rng.standard_normal((batch, topo.hop_frames - topo.frames, topo.mel_bins))
+    frames = np.concatenate([x, gap.astype(np.float32)], axis=1).reshape(-1, topo.mel_bins)
+    got = fingerprint_stream(frames, w)
+    assert got.dtype == np.float32 and got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-6
+
+
+def test_fingerprint_stream_leaves_weights_byte_identical():
+    w = _perturb_bn(init_weights(TINY, seed=19), seed=20)
+    before = {k: v.copy() for k, v in w.tensors.items()}
+    frames = np.random.default_rng(19).standard_normal((400, TINY.mel_bins)).astype(np.float32)
+    fingerprint_stream(frames, w)
+    assert sorted(w.tensors) == sorted(before)
+    for k, v in before.items():
+        assert w.tensors[k].dtype == v.dtype and w.tensors[k].tobytes() == v.tobytes(), k
+
+
+@pytest.mark.parametrize("shape", [(5, 96, 32, 1), (3, 7, 5, 1), (2, 9, 6, 3), (4, 48, 16, 8)])
+def test_im2col_conv2d_matches_oracle(shape):
+    rng = np.random.default_rng(shape[3])
+    x = rng.standard_normal(shape).astype(np.float32)
+    w = rng.standard_normal((3, 3, shape[3], 8)).astype(np.float32)
+    b = rng.standard_normal(8).astype(np.float32)
+    got = nnops.conv2d(x, w, b, im2col=True)
+    ref = np.stack([_oracle_conv2d_same(xi.astype(np.float64), w.astype(np.float64),
+                                        b.astype(np.float64), 2) for xi in x])
+    assert got.dtype == np.float32 and got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-5 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_elu_inplace_equals_elu_bit_for_bit(dtype):
+    rng = np.random.default_rng(14)
+    x = np.concatenate([rng.standard_normal(5000), 1e-30 * rng.standard_normal(100),
+                        [0.0, 80.0, -80.0, np.inf, -np.inf]]).astype(dtype)
+    ref = nnops.elu(x)
+    got = x.copy()
+    assert nnops.elu_inplace(got) is got
+    assert np.array_equal(got, ref)
 
 
 def _shifted_matmul_conv2d(x, w, b, stride=2):
@@ -193,7 +276,7 @@ def test_stream_windows_right_aligned():
     fps = fingerprint_stream(frames, w)
     # emission k covers frames ending at 96 + 100k
     for k, end in enumerate(range(TINY.frames, 301, TINY.hop_frames)):
-        direct = fingerprint_window(frames[end - TINY.frames : end], w)
+        direct = _fingerprint_one(frames[end - TINY.frames : end], w)
         assert np.allclose(fps[k], direct, atol=1e-6)
 
 

@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from index_helper import build_index
 
 from tunescout import kernels
 from tunescout.index import (
     FingerprintIndex,
     PQCodebook,
     SearchStats,
-    build_index,
     compression_ratio,
     default_partition_count,
     encode_index,

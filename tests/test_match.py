@@ -4,8 +4,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from index_helper import build_index
 
-from tunescout.index import SearchHit, build_index
+from tunescout.index import SearchHit
 from tunescout.match import (
     MatcherConfig,
     MatchResult,

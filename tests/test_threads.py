@@ -42,16 +42,21 @@ def digest(*arrays):
     return h.hexdigest()
 
 cfg = PipelineConfig()
+weights = embedder.init_weights(cfg.embedder_topology(), seed=cfg.seed)
 clip = song_audio(CorpusConfig(n_songs=1, duration_s=20.0, seed=7), 0)
-fps = embedder.fingerprint_stream(log_mel_frames(to_pcm(clip)),
-                                  embedder.init_weights(cfg.embedder_topology(), seed=cfg.seed))
+fps = embedder.fingerprint_stream(log_mel_frames(to_pcm(clip)), weights)
 rng = np.random.default_rng(5)
+# one full 256-window batch: the largest im2col products the embedder runs
+frames = rng.standard_normal((96 + 255 * 100, 32)).astype(np.float32)
+batch = embedder.fingerprint_stream(frames, weights)
+assert batch.shape == (256, 96)
 data = rng.standard_normal((3000, 8))
 cents, assign, history, sq = index.kmeans(data, 64, seed=0)
 pts = rng.standard_normal((2500, 16))
 radii = kernels.knn_radius(pts, rng.integers(0, 10, 2500), rng.integers(0, 250, 2500), 16)
 print(json.dumps({"threads": blas_threads(),
                   "fingerprint_stream": digest(fps),
+                  "fingerprint_batch": digest(batch),
                   "kmeans": digest(cents, assign, np.asarray(history), sq),
                   "knn_radius": digest(radii)}))
 """
