@@ -8,6 +8,7 @@ excerpts of held-out songs. Everything is reproducible from (seed, id).
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -19,7 +20,8 @@ class CorpusConfig:
     n_songs: int = 100
     duration_s: float = 60.0
     seed: int = 7
-    sample_rate: int = CANONICAL_RATE
+    # not a field: song_audio, to_pcm and the frontend all work at this rate
+    sample_rate: ClassVar[int] = CANONICAL_RATE
 
 
 def _song_rng(cfg: CorpusConfig, song_id: int) -> np.random.Generator:

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import nnops
 from .frontend import HOP_S
@@ -152,84 +153,65 @@ def backward_batch(dlogits: np.ndarray, w: DetectorWeights, cache) -> dict[str, 
     return grads
 
 
-def detector_forward(window: np.ndarray, w: DetectorWeights) -> float:
-    """Music probability for one (input_frames, channels) log-Mel window."""
-    window = np.asarray(window)
-    topo = w.topology
-    if window.shape != (topo.input_frames, topo.channels):
-        raise ValueError(
-            f"expected window of shape {(topo.input_frames, topo.channels)}, got {window.shape}"
-        )
-    if not np.isfinite(window).all():
-        raise ValueError("window contains non-finite values")
-    logits, _ = forward_batch(window[None].astype(np.float32), w, train=False)
-    return float(sigmoid(logits)[0])
-
-
 # ------------------------------------------------------------- streaming
 
 class StreamingDetector:
-    """Incremental evaluation: push one frame at a time.
+    """Incremental evaluation: push a block of frames per call.
 
-    Each conv layer keeps at most `kernel` pending input vectors; when the
-    buffer is full it emits one output vector and discards `stride` inputs.
-    The head keeps the trailing flattened window of top-layer outputs.
+    Each conv layer carries the inputs it has not consumed yet (fewer than
+    `kernel`) and, per block, computes every window the carry plus the new
+    inputs complete. The head carries the last top_len - 1 top-layer
+    outputs and scores every full window of them. Batch norm is folded into
+    the pointwise weights once, here.
     """
 
     def __init__(self, weights: DetectorWeights):
-        self.w = weights
-        topo = weights.topology
-        self._buffers: list[list[np.ndarray]] = [[] for _ in range(topo.n_layers)]
-        self._top: list[np.ndarray] = []
-        self._top_len = topo.layer_lengths()[-1]
-        self.frames_seen = 0
+        self.topology = weights.topology
+        t = fold_batchnorm(weights).tensors
+        self._layers = [(t[f"conv{i}_dw"], t[f"conv{i}_pw"], t[f"conv{i}_b"])
+                        for i in range(self.topology.n_layers)]
+        self._head = (t["fc1_w"], t["fc1_b"], t["fc2_w"], t["fc2_b"])
+        self._top_len = self.topology.layer_lengths()[-1]
+        empty = np.zeros((0, self.topology.channels), dtype=np.float32)
+        self._carry = [empty] * self.topology.n_layers
+        self._top = empty
 
-    def _layer_out(self, i: int, vecs: np.ndarray) -> np.ndarray:
-        t = self.w.tensors
-        topo = self.w.topology
-        z = (vecs * t[f"conv{i}_dw"]).sum(axis=0)
-        zp = z @ t[f"conv{i}_pw"] + t[f"conv{i}_b"]
-        if topo.batch_norm:
-            inv = 1.0 / np.sqrt(t[f"conv{i}_bn_var"] + nnops.BN_EPS)
-            zp = t[f"conv{i}_bn_gamma"] * (zp - t[f"conv{i}_bn_mean"]) * inv + t[f"conv{i}_bn_beta"]
-        return relu(zp)
-
-    def push(self, frame: np.ndarray) -> float | None:
-        topo = self.w.topology
-        self.frames_seen += 1
-        vec = np.asarray(frame, dtype=np.float32)
-        emitted = None
-        for i in range(topo.n_layers):
-            self._buffers[i].append(vec)
-            if len(self._buffers[i]) < topo.kernel:
-                return emitted
-            vec = self._layer_out(i, np.stack(self._buffers[i][: topo.kernel]))
-            del self._buffers[i][: topo.stride]
-        self._top.append(vec)
-        if len(self._top) > self._top_len:
-            self._top.pop(0)
-        if len(self._top) == self._top_len:
-            t = self.w.tensors
-            flat = np.concatenate(self._top)
-            a1 = relu(flat @ t["fc1_w"] + t["fc1_b"])
-            logit = float(a1 @ t["fc2_w"][:, 0] + t["fc2_b"][0])
-            emitted = float(sigmoid(np.array([logit]))[0])
-        return emitted
+    def push(self, frames: np.ndarray) -> np.ndarray:
+        """Probabilities emitted inside this (n, channels) block, in order."""
+        topo = self.topology
+        h = np.asarray(frames, dtype=np.float32)
+        if h.ndim != 2 or h.shape[1] != topo.channels:
+            raise ValueError(f"expected frames of shape (n, {topo.channels}), got {h.shape}")
+        k, s = topo.kernel, topo.stride
+        for i, (dw, pw, b) in enumerate(self._layers):
+            x = np.concatenate([self._carry[i], h])
+            m = max(0, (x.shape[0] - k) // s + 1)
+            z = x[: s * m : s] * dw[0]
+            for j in range(1, k):
+                z += x[j : j + s * m : s] * dw[j]
+            h = relu(z @ pw + b)
+            # copies, so that the carries do not keep this block's arrays alive
+            self._carry[i] = x[m * s :].copy()
+        top = np.concatenate([self._top, h])
+        self._top = top[max(0, top.shape[0] - self._top_len + 1) :].copy()
+        if top.shape[0] < self._top_len:
+            return np.zeros(0, dtype=np.float32)
+        # row j is top outputs j .. j + top_len - 1, flattened like forward_batch's
+        windows = sliding_window_view(top.reshape(-1), self._top_len * topo.channels)[:: topo.channels]
+        fc1_w, fc1_b, fc2_w, fc2_b = self._head
+        a1 = relu(windows @ fc1_w + fc1_b)
+        return sigmoid((a1 @ fc2_w + fc2_b)[:, 0])
 
 
 def streaming_predictions(frames: np.ndarray, w: DetectorWeights) -> list[tuple[int, float]]:
-    """Run the streaming detector over a frame sequence.
+    """Run the streaming detector over a frame sequence in one push.
 
     Returns (frame_count_at_emission, probability) pairs; emissions occur at
     frame counts input_frames + cadence*k.
     """
-    det = StreamingDetector(w)
-    out = []
-    for i in range(frames.shape[0]):
-        p = det.push(frames[i])
-        if p is not None:
-            out.append((i + 1, p))
-    return out
+    topo = w.topology
+    probs = StreamingDetector(w).push(frames)
+    return [(topo.input_frames + j * topo.cadence_frames, float(p)) for j, p in enumerate(probs)]
 
 
 def batch_predictions(frames: np.ndarray, w: DetectorWeights) -> list[tuple[int, float]]:

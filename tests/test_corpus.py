@@ -15,6 +15,7 @@ from tunescout.corpus import (
     song_audio,
     to_pcm,
 )
+from tunescout.frontend import CANONICAL_RATE
 
 CFG = CorpusConfig(n_songs=10, duration_s=10.0, seed=7)
 
@@ -25,6 +26,12 @@ def test_song_audio_deterministic_and_bounded():
     assert np.array_equal(a, b)
     assert np.abs(a).max() <= 0.7 + 1e-6
     assert len(a) == int(CFG.duration_s * CFG.sample_rate)
+
+
+def test_sample_rate_is_fixed_at_the_canonical_rate():
+    assert CFG.sample_rate == CANONICAL_RATE
+    with pytest.raises(TypeError):
+        CorpusConfig(n_songs=2, duration_s=20.0, sample_rate=8000)
 
 
 def test_songs_differ_across_ids_and_seeds():

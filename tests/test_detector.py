@@ -3,6 +3,7 @@ training."""
 
 import numpy as np
 import pytest
+from detector_helper import detector_forward
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,6 @@ from tunescout.detector import (
     GateConfig,
     StreamingDetector,
     batch_predictions,
-    detector_forward,
     fold_batchnorm,
     init_weights,
     quantize_tensor,
@@ -27,6 +27,17 @@ from tunescout.detector import (
 
 TOPO = DetectorTopology()
 SMALL = DetectorTopology(input_frames=22, channels=4, n_layers=2, dense_hidden=3)
+
+
+def _moved_batchnorm(w, rng):
+    """Batch-norm mean, var, gamma and beta all moved away from identity."""
+    topo = w.topology
+    for i in range(topo.n_layers):
+        w.tensors[f"conv{i}_bn_mean"] = rng.normal(0, 0.2, topo.channels).astype(np.float32)
+        w.tensors[f"conv{i}_bn_var"] = rng.uniform(0.3, 2.0, topo.channels).astype(np.float32)
+        w.tensors[f"conv{i}_bn_gamma"] = rng.uniform(0.5, 1.5, topo.channels).astype(np.float32)
+        w.tensors[f"conv{i}_bn_beta"] = rng.normal(0, 0.2, topo.channels).astype(np.float32)
+    return w
 
 
 # ---------------------------------------------------------------- topology
@@ -74,6 +85,8 @@ def test_forward_validates_input():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         detector_forward(bad, w)
+    with pytest.raises(ValueError):
+        StreamingDetector(w).push(np.zeros((22, 3)))
 
 
 def _oracle_forward(window, w):
@@ -117,16 +130,17 @@ def test_streaming_priming_and_cadence():
     rng = np.random.default_rng(1)
     frames = rng.standard_normal((446 + 128, 32)).astype(np.float32)
     det = StreamingDetector(w)
-    outs = [det.push(f) for f in frames]
-    emitted = [i for i, p in enumerate(outs) if p is not None]
+    outs = [det.push(frames[i : i + 1]) for i in range(len(frames))]
+    emitted = [i for i, p in enumerate(outs) if len(p)]
     assert emitted == [445, 445 + 64, 445 + 128]  # frames 446, 510, 574
+    assert all(len(outs[i]) == 1 for i in emitted)
 
 
 def test_streaming_no_output_before_priming():
     w = init_weights(TOPO, seed=1)
     det = StreamingDetector(w)
     for f in np.zeros((445, 32), dtype=np.float32):
-        assert det.push(f) is None
+        assert det.push(f[None]).size == 0
 
 
 def test_streaming_equals_batch():
@@ -137,6 +151,57 @@ def test_streaming_equals_batch():
     b = batch_predictions(frames, w)
     assert [e for e, _ in s] == [e for e, _ in b]
     assert max(abs(ps - pb) for (_, ps), (_, pb) in zip(s, b)) <= 1e-5
+
+
+@pytest.mark.parametrize("form", ["moved_bn", "quantized"])
+def test_streaming_equals_batch_on_moved_bn_and_quantized_weights(form):
+    rng = np.random.default_rng(10)
+    w = _moved_batchnorm(init_weights(TOPO, seed=10), rng)
+    if form == "quantized":
+        w = quantize_weights(w)
+        assert not w.topology.batch_norm
+    frames = rng.standard_normal((1100, 32)).astype(np.float32)
+    s = streaming_predictions(frames, w)
+    b = batch_predictions(frames, w)
+    assert [e for e, _ in s] == [e for e, _ in b]
+    assert max(abs(ps - pb) for (_, ps), (_, pb) in zip(s, b)) <= 1e-5
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 1200),
+       sizes=st.lists(st.one_of(st.just(0), st.just(1), st.integers(0, 130)), min_size=1, max_size=8))
+def test_any_blocking_matches_one_push(seed, n, sizes):
+    rng = np.random.default_rng(seed)
+    w = _moved_batchnorm(init_weights(TOPO, seed=seed % 1000), rng)
+    frames = rng.standard_normal((n, 32)).astype(np.float32)
+    whole = StreamingDetector(w).push(frames)
+    emissions = [TOPO.input_frames + j * TOPO.cadence_frames for j in range(len(whole))]
+    assert [e for e, _ in streaming_predictions(frames, w)] == emissions
+    # block sizes repeat in the drawn pattern until every frame is pushed
+    pattern = sizes if any(sizes) else sizes + [n]
+    det = StreamingDetector(w)
+    outs, start, step = [], 0, 0
+    while start < n or step < len(pattern):
+        stop = min(n, start + pattern[step % len(pattern)])
+        p = det.push(frames[start:stop])
+        # each block emits exactly the predictions whose frame count it reaches
+        assert len(p) == sum(start < e <= stop for e in emissions)
+        outs.append(p)
+        start, step = stop, step + 1
+    blocked = np.concatenate(outs)
+    assert blocked.shape == whole.shape
+    assert np.abs(blocked - whole).max(initial=0.0) <= 1e-6
+
+
+def test_streaming_leaves_weights_untouched():
+    w = _moved_batchnorm(init_weights(TOPO, seed=11), np.random.default_rng(11))
+    before = {k: v.copy() for k, v in w.tensors.items()}
+    frames = np.random.default_rng(11).standard_normal((700, 32)).astype(np.float32)
+    streaming_predictions(frames, w)
+    assert w.topology.batch_norm
+    assert w.tensors.keys() == before.keys()
+    for k, v in before.items():
+        assert w.tensors[k].dtype == v.dtype and w.tensors[k].tobytes() == v.tobytes()
 
 
 def test_emission_count_formula():
@@ -233,12 +298,7 @@ def test_quantize_round_trip_within_one_step(seed):
 
 def test_fold_batchnorm_preserves_outputs():
     rng = np.random.default_rng(4)
-    w = init_weights(SMALL, seed=4)
-    for i in range(SMALL.n_layers):
-        w.tensors[f"conv{i}_bn_mean"] = rng.normal(0, 0.2, SMALL.channels).astype(np.float32)
-        w.tensors[f"conv{i}_bn_var"] = rng.uniform(0.3, 2.0, SMALL.channels).astype(np.float32)
-        w.tensors[f"conv{i}_bn_gamma"] = rng.uniform(0.5, 1.5, SMALL.channels).astype(np.float32)
-        w.tensors[f"conv{i}_bn_beta"] = rng.normal(0, 0.2, SMALL.channels).astype(np.float32)
+    w = _moved_batchnorm(init_weights(SMALL, seed=4), rng)
     folded = fold_batchnorm(w)
     assert not folded.topology.batch_norm
     window = rng.standard_normal((22, 4)).astype(np.float32)

@@ -29,7 +29,7 @@ import hashlib, json
 import tunescout
 import numpy as np
 from blas_threads import blas_threads
-from tunescout import embedder, index, kernels
+from tunescout import detector, embedder, index, kernels
 from tunescout.corpus import CorpusConfig, song_audio, to_pcm
 from tunescout.frontend import log_mel_frames
 from tunescout.pipeline import PipelineConfig
@@ -54,11 +54,16 @@ data = rng.standard_normal((3000, 8))
 cents, assign, history, sq = index.kmeans(data, 64, seed=0)
 pts = rng.standard_normal((2500, 16))
 radii = kernels.knn_radius(pts, rng.integers(0, 10, 2500), rng.integers(0, 250, 2500), 16)
+# the detector's per-layer products over a 60 s clip, pushed as one block
+det_weights = detector.init_weights(detector.DetectorTopology(), seed=0)
+minute = log_mel_frames(to_pcm(song_audio(CorpusConfig(n_songs=1, duration_s=60.0, seed=7), 0)))
+probs = np.array([p for _, p in detector.streaming_predictions(minute, det_weights)])
 print(json.dumps({"threads": blas_threads(),
                   "fingerprint_stream": digest(fps),
                   "fingerprint_batch": digest(batch),
                   "kmeans": digest(cents, assign, np.asarray(history), sq),
-                  "knn_radius": digest(radii)}))
+                  "knn_radius": digest(radii),
+                  "streaming_predictions": digest(probs)}))
 """
 
 
