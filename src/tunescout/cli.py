@@ -134,7 +134,7 @@ def cmd_build(args) -> int:
 
 def cmd_recognize(args) -> int:
     cfg = _load_config(args.config)
-    db = store_mod.load_db(Path(args.db).read_bytes(), coverage=cfg.index.coverage)
+    db = store_mod.load_db(Path(args.db).read_bytes())
     weights = weights_io.load_embedder(Path(args.weights).read_bytes())
     pcm = _read_audio(args.wav, args.raw_pcm)
     result = pipe_mod.recognize_pcm(db, pcm, weights, cfg)
@@ -148,7 +148,7 @@ def cmd_stream(args) -> int:
         gate = pipe_mod.config_from_json(det_mod.GateConfig, Path(args.gate_config).read_text(),
                                          "gate config")
         cfg = replace(cfg, gate=gate)
-    db = store_mod.load_db(Path(args.db).read_bytes(), coverage=cfg.index.coverage)
+    db = store_mod.load_db(Path(args.db).read_bytes())
     emb = weights_io.load_embedder(Path(args.weights).read_bytes())
     det = weights_io.load_detector(Path(args.detector_weights).read_bytes())
     pcm = _read_audio(args.wav, args.raw_pcm)
@@ -177,7 +177,7 @@ def cmd_eval_pr(args) -> int:
         _log(f"d={d}: building DB")
         db = pipe_mod.build_database_from_corpus(corpus_cfg, weights, dcfg)
         _log(f"d={d}: running {len(specs)} queries")
-        outcomes = evalrun.run_queries(db, specs, corpus_cfg, weights, dcfg, holdout_cfg)
+        outcomes = evalrun.run_queries(db, specs, corpus_cfg, weights, holdout_cfg)
         for scorer in ("adaptive", "naive"):
             for row in evalrun.pr_rows(outcomes, scorer):
                 print(f"{d},{row['threshold']},{row['precision']:.4f},"

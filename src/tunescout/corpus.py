@@ -62,10 +62,10 @@ def song_audio(cfg: CorpusConfig, song_id: int) -> np.ndarray:
     return out.astype(np.float32)
 
 
-def noise_audio(duration_s: float, rng: np.random.Generator, kind: str = "mix",
-                sample_rate: int = CANONICAL_RATE) -> np.ndarray:
-    """Synthetic ambient noise: white, low-passed, or amplitude-modulated."""
-    n = int(duration_s * sample_rate)
+def noise_audio(duration_s: float, rng: np.random.Generator, kind: str = "mix") -> np.ndarray:
+    """Synthetic ambient noise at CANONICAL_RATE: white, low-passed, or
+    amplitude-modulated."""
+    n = int(duration_s * CANONICAL_RATE)
     white = rng.normal(0, 1, n)
     if kind == "white":
         out = white
@@ -76,7 +76,7 @@ def noise_audio(duration_s: float, rng: np.random.Generator, kind: str = "mix",
         a = rng.uniform(0.85, 0.98)
         out = _one_pole(white, a, 1 - a)
         mod_hz = rng.uniform(0.5, 4.0)
-        t = np.arange(n) / sample_rate
+        t = np.arange(n) / CANONICAL_RATE
         out *= 0.4 + 0.6 * (0.5 + 0.5 * np.sin(2 * math.pi * mod_hz * t + rng.uniform(0, 6.28)))
     peak = np.abs(out).max()
     if peak > 0:
@@ -105,9 +105,9 @@ def mix_at_snr(signal: np.ndarray, noise: np.ndarray, snr_db: float) -> np.ndarr
     return out.astype(np.float32)
 
 
-def to_pcm(wave: np.ndarray, sample_rate: int = CANONICAL_RATE) -> PcmStream:
+def to_pcm(wave: np.ndarray) -> PcmStream:
     samples = np.clip(np.round(wave * 32767.0), -32768, 32767).astype(np.int16)
-    return PcmStream(samples=samples, sample_rate=sample_rate)
+    return PcmStream(samples=samples, sample_rate=CANONICAL_RATE)
 
 
 # ------------------------------------------------------------------ queries
@@ -158,13 +158,13 @@ def query_audio(cfg: CorpusConfig, spec: QuerySpec,
                 holdout_cfg: CorpusConfig | None = None) -> np.ndarray:
     rng = np.random.default_rng([cfg.seed, 31337, spec.query_id])
     if spec.kind == "noise":
-        wave = noise_audio(spec.length_s, rng, sample_rate=cfg.sample_rate)
+        wave = noise_audio(spec.length_s, rng)
     else:
         src_cfg = holdout_cfg if spec.kind == "holdout" else cfg
         song = song_audio(src_cfg, spec.song_id)
         s = int(spec.start_s * cfg.sample_rate)
         wave = song[s : s + int(spec.length_s * cfg.sample_rate)].copy()
-        noise = noise_audio(spec.length_s, rng, sample_rate=cfg.sample_rate)
+        noise = noise_audio(spec.length_s, rng)
         wave = mix_at_snr(wave, noise, spec.snr_db)
     out = np.clip(wave * spec.gain, -1.0, 1.0)
     return out.astype(np.float32)
@@ -181,28 +181,28 @@ def spec_to_dict(spec: QuerySpec) -> dict:
 # ------------------------------------------------------- detector material
 
 def detector_clips(n_clips: int, seed: int, clip_s: float = 5.0,
-                   snrs=(20.0, 10.0, 5.0), sample_rate: int = CANONICAL_RATE):
-    """(waveform, label) pairs: harmonic music (label 1, possibly noisy)
-    vs. noise/silence (label 0)."""
+                   snrs=(20.0, 10.0, 5.0)):
+    """(waveform, label) pairs at CANONICAL_RATE: harmonic music (label 1,
+    possibly noisy) vs. noise/silence (label 0)."""
+    sr = CANONICAL_RATE
     rng = np.random.default_rng([seed, 4242])
     cfg = CorpusConfig(n_songs=max(8, n_clips // 4), duration_s=clip_s + 2.0, seed=seed + 1)
     clips = []
     for i in range(n_clips):
         if i % 2 == 0:
             song = song_audio(cfg, int(rng.integers(0, cfg.n_songs)))
-            s = int(rng.uniform(0, 1.5) * sample_rate)
-            wave = song[s : s + int(clip_s * sample_rate)].copy()
+            s = int(rng.uniform(0, 1.5) * sr)
+            wave = song[s : s + int(clip_s * sr)].copy()
             if rng.random() < 0.7:
-                wave = mix_at_snr(wave, noise_audio(clip_s, rng, sample_rate=sample_rate),
-                                  float(rng.choice(snrs)))
+                wave = mix_at_snr(wave, noise_audio(clip_s, rng), float(rng.choice(snrs)))
             label = 1
         else:
             roll = rng.random()
             if roll < 0.15:
-                wave = np.zeros(int(clip_s * sample_rate), dtype=np.float32)
+                wave = np.zeros(int(clip_s * sr), dtype=np.float32)
             else:
                 kind = "white" if roll < 0.5 else "mix"
-                wave = noise_audio(clip_s, rng, kind=kind, sample_rate=sample_rate)
+                wave = noise_audio(clip_s, rng, kind=kind)
             wave = wave * float(rng.uniform(0.2, 1.0))
             label = 0
         clips.append((wave.astype(np.float32), label))
@@ -228,7 +228,7 @@ def ambient_audio(length_s: float, regions: list[MusicRegion], cfg: CorpusConfig
     if silence_outside:
         bed = np.zeros(n, dtype=np.float32)
     else:
-        bed = noise_audio(length_s, rng, sample_rate=sr) * 0.3
+        bed = noise_audio(length_s, rng) * 0.3
     for reg in regions:
         song = song_audio(cfg, reg.song_id)
         seg = song[: int(reg.duration_s * sr)]

@@ -258,18 +258,28 @@ def smooth_and_gate(predictions, cfg: GateConfig, start_time_s: float = 0.0,
     Prediction i is timestamped start_time_s + i*cadence_s, cadence_s being
     the prediction interval of the detector that made them. After an event
     the gate is suppressed for refractory_s (measured fire to fire).
+
+    Smoothed value i is the mean of predictions max(0, i - win + 1) .. i,
+    all computed in one pass: prefix sums for the first win - 1, window
+    sums for the rest.
     """
     win = max(1, int(round(cfg.smoothing_window_s / cadence_s)))
+    p = np.asarray(list(predictions), dtype=np.float64)
+    n = len(p)
+    smoothed = np.empty(n)
+    head = min(win - 1, n)
+    smoothed[:head] = np.cumsum(p[:head]) / np.arange(1, head + 1)
+    if n >= win:
+        smoothed[win - 1 :] = sliding_window_view(p, win).sum(axis=1) / win
+    # length of the over-threshold run ending at each prediction
+    steps = np.arange(n)
+    run = steps - np.maximum.accumulate(np.where(smoothed > cfg.threshold, -1, steps))
     events: list[GateEvent] = []
-    run = 0
     last_fire = -math.inf
-    preds = list(predictions)
-    for i, _ in enumerate(preds):
-        smoothed = float(np.mean(preds[max(0, i - win + 1) : i + 1]))
-        run = run + 1 if smoothed > cfg.threshold else 0
+    for i in np.flatnonzero(run >= cfg.consecutive).tolist():
         t = start_time_s + i * cadence_s
-        if run >= cfg.consecutive and t - last_fire >= cfg.refractory_s:
-            events.append(GateEvent(index=i, time_s=t, mean_confidence=smoothed))
+        if t - last_fire >= cfg.refractory_s:
+            events.append(GateEvent(index=i, time_s=t, mean_confidence=float(smoothed[i])))
             last_fire = t
     return events
 
@@ -295,23 +305,19 @@ def fold_batchnorm(w: DetectorWeights) -> DetectorWeights:
         return w
     t = dict(w.tensors)
     for i in range(topo.n_layers):
-        gamma = t.pop(f"conv{i}_bn_gamma")
-        beta = t.pop(f"conv{i}_bn_beta")
-        mean = t.pop(f"conv{i}_bn_mean")
-        var = t.pop(f"conv{i}_bn_var")
-        s = gamma / np.sqrt(var + nnops.BN_EPS)
-        t[f"conv{i}_pw"] = (t[f"conv{i}_pw"] * s).astype(np.float32)
-        t[f"conv{i}_b"] = ((t[f"conv{i}_b"] - mean) * s + beta).astype(np.float32)
+        bn = [t.pop(f"conv{i}_bn_{k}") for k in ("gamma", "beta", "mean", "var")]
+        t[f"conv{i}_pw"], t[f"conv{i}_b"] = nnops.fold_bn(
+            t[f"conv{i}_pw"], t[f"conv{i}_b"], *bn)
     return DetectorWeights(topology=replace(topo, batch_norm=False), tensors=t)
 
 
-def quantize_weights(w: DetectorWeights, fold_bn: bool = True) -> DetectorWeights:
+def quantize_weights(w: DetectorWeights) -> DetectorWeights:
     """8-bit weights, dequantized back to float for inference.
 
     Round-trip error is within one quantization step per element. Batch norm
     is folded first so the stored model matches the deployment layout.
     """
-    src = fold_batchnorm(w) if fold_bn else w
+    src = fold_batchnorm(w)
     t = {}
     for name, x in src.tensors.items():
         q, scale, zero = quantize_tensor(x)

@@ -12,17 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nnops import (
-    BN_EPS,
     Adam,
     batchnorm,
     batchnorm_bwd,
     conv2d,
     conv2d_bwd,
-    dense,
-    dense_bwd,
     elu,
     elu_bwd,
     elu_inplace,
+    fold_bn,
     l2_normalize,
     l2_normalize_bwd,
 )
@@ -111,43 +109,54 @@ def init_weights(topo: EmbedderTopology, seed: int = 0) -> EmbedderWeights:
     return EmbedderWeights(topology=topo, tensors=t)
 
 
+def _branches(x: np.ndarray, branches: int) -> np.ndarray:
+    """(B, branches * n) -> a (branches, B, n) view: branch j's columns."""
+    return x.reshape(len(x), branches, -1).transpose(1, 0, 2)
+
+
+def _unbranch(x: np.ndarray) -> np.ndarray:
+    """(branches, B, n) -> (B, branches * n), the inverse of _branches."""
+    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+
+def _stacked(w: EmbedderWeights, name: str) -> np.ndarray:
+    return np.stack([w.tensors[f"br{j}_{name}"] for j in range(w.topology.branches)])
+
+
 def divide_and_encode(features: np.ndarray, w: EmbedderWeights):
     """Two-level branch head over flattened features (B, flat) -> (B, dim).
 
     Branch j only ever sees slice j of the features, so perturbing another
-    slice leaves its output bit-identical. Output is pre-normalization.
+    slice leaves its output bit-identical. All branches run as one batched
+    matmul per dense layer over the stacked weights; each branch's product
+    is the same BLAS call its own dense layer would make. Output is
+    pre-normalization; the cache feeds divide_and_encode_bwd.
     """
-    topo = w.topology
-    if features.shape[1] % topo.branches != 0:
-        raise ValueError(
-            f"feature width {features.shape[1]} not divisible by {topo.branches} branches"
-        )
-    bi = features.shape[1] // topo.branches
-    outs = []
-    cache = []
-    for j in range(topo.branches):
-        sl = features[:, j * bi : (j + 1) * bi]
-        h = dense(sl, w.tensors[f"br{j}_w1"], w.tensors[f"br{j}_b1"])
-        a = elu(h)
-        o = dense(a, w.tensors[f"br{j}_w2"], w.tensors[f"br{j}_b2"])
-        outs.append(o)
-        cache.append((sl, h, a))
-    return np.concatenate(outs, axis=1), cache
+    branches = w.topology.branches
+    if features.shape[1] % branches != 0:
+        raise ValueError(f"feature width {features.shape[1]} not divisible by {branches} branches")
+    feats = _branches(features, branches)  # (branches, B, branch_input)
+    hid = np.matmul(feats, _stacked(w, "w1"))
+    hid += _stacked(w, "b1")[:, None]
+    act = elu(hid)
+    out = np.matmul(act, _stacked(w, "w2"))
+    out += _stacked(w, "b2")[:, None]
+    return _unbranch(out), (feats, hid, act)
 
 
 def divide_and_encode_bwd(dout: np.ndarray, w: EmbedderWeights, cache):
-    topo = w.topology
+    """Gradients of divide_and_encode: (d features, {br{j}_* : grad})."""
+    feats, hid, act = cache
+    dy = _branches(dout, w.topology.branches)
+    dact = np.matmul(dy, _stacked(w, "w2").transpose(0, 2, 1))
+    dw2 = np.matmul(act.transpose(0, 2, 1), dy)
+    dhid = elu_bwd(hid, dact)
+    dfeats = np.matmul(dhid, _stacked(w, "w1").transpose(0, 2, 1))
+    dw1 = np.matmul(feats.transpose(0, 2, 1), dhid)
     grads: dict[str, np.ndarray] = {}
-    bo = dout.shape[1] // topo.branches
-    dslices = []
-    for j in range(topo.branches):
-        sl, h, a = cache[j]
-        dy = dout[:, j * bo : (j + 1) * bo]
-        da, grads[f"br{j}_w2"], grads[f"br{j}_b2"] = dense_bwd(a, w.tensors[f"br{j}_w2"], dy)
-        dh = elu_bwd(h, da)
-        dsl, grads[f"br{j}_w1"], grads[f"br{j}_b1"] = dense_bwd(sl, w.tensors[f"br{j}_w1"], dh)
-        dslices.append(dsl)
-    return np.concatenate(dslices, axis=1), grads
+    for j, (g1, gb1, g2, gb2) in enumerate(zip(dw1, dhid.sum(axis=1), dw2, dy.sum(axis=1))):
+        grads.update({f"br{j}_w1": g1, f"br{j}_b1": gb1, f"br{j}_w2": g2, f"br{j}_b2": gb2})
+    return _unbranch(dfeats), grads
 
 
 def standardize_windows(x: np.ndarray) -> np.ndarray:
@@ -206,35 +215,25 @@ def backward_batch(dout: np.ndarray, w: EmbedderWeights, cache) -> dict[str, np.
 
 def _folded_conv(t: dict[str, np.ndarray], i: int) -> tuple[np.ndarray, np.ndarray]:
     """Conv layer i's weights and bias with its batch norm folded in."""
-    s = t[f"conv{i}_bn_gamma"] / np.sqrt(t[f"conv{i}_bn_var"] + BN_EPS)
-    b = (t[f"conv{i}_b"] - t[f"conv{i}_bn_mean"]) * s + t[f"conv{i}_bn_beta"]
-    return t[f"conv{i}_w"] * s, b
+    return fold_bn(t[f"conv{i}_w"], t[f"conv{i}_b"],
+                   *(t[f"conv{i}_bn_{k}"] for k in ("gamma", "beta", "mean", "var")))
 
 
 def forward_inference(x: np.ndarray, w: EmbedderWeights) -> np.ndarray:
     """forward_batch(x, w, train=False) in its inference form: (B, frames, mel_bins) -> (B, dim).
 
     Each conv layer has its batch norm folded into its weights and bias and
-    runs as one im2col product, ELU runs in place, and the branch heads are
-    one batched matmul. The sums run in another order, so the outputs agree
+    runs as one im2col product, and ELU runs in place; the branch head is
+    forward_batch's. The conv sums run in another order, so the outputs agree
     with forward_batch to float32 rounding. The fold is redone per call and
     nothing is written to w.tensors, whose BN statistics training updates.
     """
     topo = w.topology
-    t = w.tensors
     h = standardize_windows(x)[..., None]
     for i in range(len(topo.conv_channels)):
-        h = elu_inplace(conv2d(h, *_folded_conv(t, i), topo.stride, im2col=True))
-
-    def stacked(name):
-        return np.stack([t[f"br{j}_{name}"] for j in range(topo.branches)])
-
-    feats = h.reshape(len(h), topo.branches, -1).transpose(1, 0, 2)  # (branches, B, branch_input)
-    hid = np.matmul(feats, stacked("w1"))
-    hid += stacked("b1")[:, None]
-    out = np.matmul(elu_inplace(hid), stacked("w2"))
-    out += stacked("b2")[:, None]
-    return l2_normalize(out.transpose(1, 0, 2).reshape(len(h), topo.dim))
+        h = elu_inplace(conv2d(h, *_folded_conv(w.tensors, i), topo.stride, im2col=True))
+    pre, _ = divide_and_encode(h.reshape(len(h), -1), w)
+    return l2_normalize(pre)
 
 
 def fingerprint_stream(frames: np.ndarray, w: EmbedderWeights,

@@ -13,7 +13,7 @@ from .embedder import EmbedderWeights
 from .frontend import HOP_S, log_mel_frames
 from .index import SearchStats
 from .match import recognize_phases
-from .pipeline import PipelineConfig, query_phases
+from .pipeline import query_phases
 
 
 @dataclass
@@ -31,8 +31,7 @@ class QueryOutcome:
 
 
 def run_queries(db, specs: list[QuerySpec], corpus_cfg: CorpusConfig,
-                weights: EmbedderWeights, cfg: PipelineConfig,
-                holdout_cfg: CorpusConfig | None = None,
+                weights: EmbedderWeights, holdout_cfg: CorpusConfig | None = None,
                 stats: SearchStats | None = None) -> list[QueryOutcome]:
     """Match every query with both scorers over identical candidate sets.
 
@@ -44,8 +43,8 @@ def run_queries(db, specs: list[QuerySpec], corpus_cfg: CorpusConfig,
     outcomes = []
     for spec in specs:
         wave = corpus_mod.query_audio(corpus_cfg, spec, holdout_cfg)
-        phases = query_phases(corpus_mod.to_pcm(wave, corpus_cfg.sample_rate), weights, cfg)
-        a, n = recognize_phases(phases, db.index, db.spans, radii_sets, cfg.matcher, stats)
+        phases = query_phases(corpus_mod.to_pcm(wave), weights)
+        a, n = recognize_phases(phases, db.index, db.spans, radii_sets, stats)
         outcomes.append(QueryOutcome(
             spec,
             a.song_id if a.score > 0 else -1, a.score, a.offset_s if a.score > 0 else -1,

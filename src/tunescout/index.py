@@ -15,6 +15,7 @@ import numpy as np
 from . import kernels
 
 MIN_SCAN_POINTS = 256  # a search scans at least this many points (or all)
+COVERAGE = 0.02  # a search probes partitions until they hold this share of the DB
 
 
 def kmeans(data: np.ndarray, k: int, seed: int = 0, iters: int = 15):
@@ -179,7 +180,7 @@ class FingerprintIndex:
     def __init__(self, partitioner: PartitionerModel, codebook: PQCodebook,
                  codes: np.ndarray, partition_ids: np.ndarray,
                  song_ids: np.ndarray, offsets: np.ndarray,
-                 coverage: float = 0.02):
+                 coverage: float = COVERAGE):
         self.partitioner = partitioner
         self.codebook = codebook
         self.codes = np.ascontiguousarray(codes, dtype=np.uint8)
@@ -318,10 +319,9 @@ def train_index_models(fingerprints: np.ndarray, p: int | None = None,
 
 
 def encode_index(fingerprints: np.ndarray, song_ids: np.ndarray, offsets: np.ndarray,
-                 partitioner: PartitionerModel, codebook: PQCodebook,
-                 coverage: float = 0.02) -> FingerprintIndex:
+                 partitioner: PartitionerModel, codebook: PQCodebook) -> FingerprintIndex:
     """Assign each fingerprint to its partition and PQ-encode the residual."""
     pids = partitioner.assign(fingerprints)
     codes = pq_encode(fingerprints - partitioner.centroids[pids], codebook)
-    return FingerprintIndex(partitioner, codebook, codes, pids, song_ids, offsets, coverage)
+    return FingerprintIndex(partitioner, codebook, codes, pids, song_ids, offsets)
 

@@ -47,7 +47,7 @@ def assign_nearest(x, centroids):
     return idx, d2
 
 
-def knn_radius(points, song_ids, offsets, k, exclude_s=2):
+def knn_radius(points, song_ids, offsets, k, exclude_s):
     """Distance to the k-th nearest neighbor for each point.
 
     Neighbors from the same song within exclude_s >= 0 seconds are skipped so

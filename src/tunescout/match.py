@@ -15,17 +15,15 @@ import numpy as np
 from . import kernels
 from .index import FingerprintIndex, SearchHit, SearchStats
 
-
-@dataclass(frozen=True)
-class MatcherConfig:
-    top_k: int = 20
-    max_candidates: int = 20
-    k_density: int = 16
-    radius_floor: float = 1e-3
-    theta_abs: float = 0.40
-    theta_gap: float = 0.05
-    # sub-hop window phases tried per query (misalignment robustness)
-    query_phases: int = 4
+# The recognizer's operating point belongs to the shipped model and DB.
+TOP_K = 20  # ANN hits per query step
+MAX_CANDIDATES = 20  # (song, alignment) candidates scored per phase
+K_DENSITY = 16  # a fingerprint's radius is the distance to this DB neighbour
+EXCLUDE_S = 2  # same-song neighbours this close in time are not density
+RADIUS_FLOOR = 1e-3
+THETA_ABS = 0.40  # accept only above this score ...
+THETA_GAP = 0.05  # ... and this far above the best other song
+QUERY_PHASES = 4  # sub-hop window phases tried per query (misalignment robustness)
 
 
 @dataclass
@@ -60,7 +58,7 @@ class MatchResult:
 
 
 def collect_candidates(hits_per_step: list[list[SearchHit]],
-                       max_candidates: int = 20) -> list[SequenceCandidate]:
+                       max_candidates: int = MAX_CANDIDATES) -> list[SequenceCandidate]:
     """Vote counting: a hit at query step i supports alignment (song, offset - i).
 
     Candidates are ranked by support (ties by song_id then offset) and the
@@ -82,19 +80,18 @@ def collect_candidates(hits_per_step: list[list[SearchHit]],
 
 
 def local_density(points: np.ndarray, song_ids: np.ndarray, offsets: np.ndarray,
-                  k_density: int = 16, exclude_s: int = 2,
-                  radius_floor: float = 1e-3) -> np.ndarray:
+                  k_density: int = K_DENSITY) -> np.ndarray:
     """Per-fingerprint radius: distance to the k-th nearest DB neighbor.
 
-    Same-song neighbors within exclude_s seconds are excluded so temporal
-    context does not count as density. Radii are floored to keep the
-    similarity kernel defined on degenerate DBs.
+    Same-song neighbors within EXCLUDE_S seconds are excluded so temporal
+    context does not count as density. Radii are floored at RADIUS_FLOOR to
+    keep the similarity kernel defined on degenerate DBs.
     """
     n = len(points)
     if n < k_density + 1:
         raise ValueError(f"DB of {n} points is smaller than k_density+1 = {k_density + 1}")
-    r = kernels.knn_radius(points, song_ids, offsets, k_density, exclude_s)
-    return np.maximum(r, radius_floor)
+    r = kernels.knn_radius(points, song_ids, offsets, k_density, EXCLUDE_S)
+    return np.maximum(r, RADIUS_FLOOR)
 
 
 def score_candidates(query_fps: np.ndarray, candidates: list[SequenceCandidate],
@@ -135,8 +132,8 @@ def score_sequence(query_fps: np.ndarray, candidate: SequenceCandidate,
     return float(scores[0, 0])
 
 
-def adaptive_accept(scored: list[MatchResult], theta_abs: float = 0.40,
-                    theta_gap: float = 0.05) -> MatchResult:
+def adaptive_accept(scored: list[MatchResult], theta_abs: float = THETA_ABS,
+                    theta_gap: float = THETA_GAP) -> MatchResult:
     """Accept the best candidate iff its score clears theta_abs and beats the
     best other song by theta_gap. With one candidate only theta_abs applies."""
     if not scored:
@@ -154,7 +151,6 @@ def adaptive_accept(scored: list[MatchResult], theta_abs: float = 0.40,
 
 def recognize_phases(phases: list[np.ndarray], idx: FingerprintIndex,
                      spans: dict[int, tuple[int, int]], radii_sets: list[np.ndarray],
-                     cfg: MatcherConfig | None = None,
                      stats: SearchStats | None = None) -> list[MatchResult]:
     """Full two-stage match of a query's phase hypotheses.
 
@@ -163,22 +159,21 @@ def recognize_phases(phases: list[np.ndarray], idx: FingerprintIndex,
     acceptance. Returns, per radii array, the highest-scoring phase's result
     (the first phase on ties).
     """
-    cfg = cfg or MatcherConfig()
     phases = [np.atleast_2d(np.asarray(f, dtype=np.float32)) for f in phases]
     if not phases or any(len(f) == 0 for f in phases):
         raise ValueError("need at least one query fingerprint")
-    hits = idx.search_batch(np.concatenate(phases), cfg.top_k, stats=stats)
+    hits = idx.search_batch(np.concatenate(phases), TOP_K, stats=stats)
     best: list[MatchResult | None] = [None] * len(radii_sets)
     pos = 0
     for fps in phases:
-        candidates = collect_candidates(hits[pos : pos + len(fps)], cfg.max_candidates)
+        candidates = collect_candidates(hits[pos : pos + len(fps)])
         pos += len(fps)
         scores, aligned = score_candidates(fps, candidates, idx, spans, radii_sets)
         for i, row in enumerate(scores):
             scored = [MatchResult(song_id=c.song_id, offset_s=c.start_offset, score=float(s),
                                   accepted=False, runner_up_score=0.0)
                       for c, s, ok in zip(candidates, row, aligned) if ok]
-            result = adaptive_accept(scored, cfg.theta_abs, cfg.theta_gap)
+            result = adaptive_accept(scored)
             if best[i] is None or result.score > best[i].score:
                 best[i] = result
     return best
@@ -186,8 +181,7 @@ def recognize_phases(phases: list[np.ndarray], idx: FingerprintIndex,
 
 def recognize(query_fps: np.ndarray, idx: FingerprintIndex,
               spans: dict[int, tuple[int, int]], radii: np.ndarray,
-              cfg: MatcherConfig | None = None,
               stats: SearchStats | None = None) -> MatchResult:
     """Full two-stage match of one fingerprint sequence: per-step ANN
     search, candidate voting, sequence scoring, adaptive acceptance."""
-    return recognize_phases([query_fps], idx, spans, [radii], cfg, stats)[0]
+    return recognize_phases([query_fps], idx, spans, [radii], stats)[0]

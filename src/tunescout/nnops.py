@@ -98,6 +98,16 @@ def batchnorm(x, gamma, beta, running_mean, running_var, train, momentum=0.1):
     return y, cache, rm, rv
 
 
+def fold_bn(w, b, gamma, beta, mean, var):
+    """Eval-mode batch norm after a layer x @ w + b, folded into that layer.
+
+    Returns (w * s, (b - mean) * s + beta) with s = gamma / sqrt(var + eps),
+    scaling w's last (output) axis, in the tensors' dtype.
+    """
+    s = gamma / np.sqrt(var + BN_EPS)
+    return w * s, (b - mean) * s + beta
+
+
 def batchnorm_bwd(dy, gamma, cache):
     xhat, inv, train, n = cache
     dgamma = (dy * xhat).reshape(-1, dy.shape[-1]).sum(axis=0)

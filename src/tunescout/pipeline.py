@@ -7,6 +7,7 @@ import json
 import os
 import typing
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .detector import DetectorWeights, GateConfig, smooth_and_gate, streaming_pr
 from .embedder import EmbedderTopology, EmbedderWeights, fingerprint_stream
 from .errors import ConfigError
 from .frontend import HOP_MS, HOP_S, PcmStream, canonicalize, log_mel_frames
-from .match import MatcherConfig, MatchResult
+from .match import QUERY_PHASES, MatchResult
 
 
 EMBEDDER_PRESETS = {
@@ -32,8 +33,8 @@ EMBEDDER_PRESETS = {
 @dataclass(frozen=True)
 class IndexConfig:
     partitions: int | None = None  # None -> ceil(sqrt(N))
-    coverage: float = 0.02
-    subspaces: int | None = None  # None -> dim // 8
+    # not a field: every search probes this share of the DB; M is dim // 8
+    coverage: ClassVar[float] = index_mod.COVERAGE
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,6 @@ class PipelineConfig:
     dim: int = 96
     embedder_preset: str = "default"
     gate: GateConfig = field(default_factory=GateConfig)
-    matcher: MatcherConfig = field(default_factory=MatcherConfig)
     index: IndexConfig = field(default_factory=IndexConfig)
 
     def __post_init__(self):
@@ -116,7 +116,7 @@ def fingerprint_pcm(pcm: PcmStream, weights: EmbedderWeights) -> np.ndarray:
 
 
 def fingerprint_phases(frames: np.ndarray, weights: EmbedderWeights,
-                       n_phases: int = 4) -> list[np.ndarray]:
+                       n_phases: int = QUERY_PHASES) -> list[np.ndarray]:
     """Fingerprint the same audio under several sub-hop window phases.
 
     A query recorded at an arbitrary moment is misaligned with the database's
@@ -162,10 +162,9 @@ def embedder_training_set(cfg: CorpusConfig, n_songs: int | None = None,
         wave = corpus_mod.song_audio(cfg, song)
         versions = [wave]
         for _ in range(noisy_copies):
-            noise = corpus_mod.noise_audio(len(wave) / cfg.sample_rate, rng,
-                                           sample_rate=cfg.sample_rate)
+            noise = corpus_mod.noise_audio(len(wave) / cfg.sample_rate, rng)
             versions.append(corpus_mod.mix_at_snr(wave, noise, float(rng.choice([20.0, 10.0, 5.0]))))
-        feats = [log_mel_frames(to_pcm(v, cfg.sample_rate)) for v in versions]
+        feats = [log_mel_frames(to_pcm(v)) for v in versions]
         max_start = feats[0].shape[0] - topo.frames - fps_hop
         if max_start <= 0:
             continue
@@ -196,9 +195,8 @@ def build_database_from_fingerprints(song_entries, cfg: PipelineConfig) -> store
     """Train index models on the pooled fingerprints and assemble the DB."""
     all_fps = np.concatenate([f for _, f in song_entries]).astype(np.float32)
     partitioner, codebook = index_mod.train_index_models(
-        all_fps, cfg.index.partitions, cfg.index.subspaces, seed=cfg.seed)
-    return store_mod.build_database(song_entries, partitioner, codebook,
-                                    cfg.matcher, coverage=cfg.index.coverage)
+        all_fps, cfg.index.partitions, seed=cfg.seed)
+    return store_mod.build_database(song_entries, partitioner, codebook)
 
 
 def build_database_from_corpus(corpus_cfg: CorpusConfig, weights: EmbedderWeights,
@@ -215,28 +213,22 @@ def build_database_from_corpus(corpus_cfg: CorpusConfig, weights: EmbedderWeight
 
 # ------------------------------------------------------------- recognition
 
-def query_phases(pcm: PcmStream, weights: EmbedderWeights,
-                 cfg: PipelineConfig) -> list[np.ndarray]:
+def query_phases(pcm: PcmStream, weights: EmbedderWeights) -> list[np.ndarray]:
     """A query's fingerprints under each of the matcher's window phases."""
-    frames = log_mel_frames(canonicalize(pcm))
-    return fingerprint_phases(frames, weights, cfg.matcher.query_phases)
-
-
-def best_of_phases(db: store_mod.Database, phases: list[np.ndarray],
-                   cfg: PipelineConfig, stats=None) -> MatchResult:
-    """Match all phase hypotheses in one pooled search; keep the
-    highest-scoring phase (first on ties)."""
-    if not phases:
-        raise ValueError("audio shorter than one fingerprint window")
-    best = match_mod.recognize_phases(phases, db.index, db.spans, [db.radii],
-                                      cfg.matcher, stats=stats)[0]
-    best.title = db.title_of(best.song_id)
-    return best
+    return fingerprint_phases(log_mel_frames(canonicalize(pcm)), weights)
 
 
 def recognize_pcm(db: store_mod.Database, pcm: PcmStream, weights: EmbedderWeights,
-                  cfg: PipelineConfig, stats=None) -> MatchResult:
-    return best_of_phases(db, query_phases(pcm, weights, cfg), cfg, stats)
+                  cfg: PipelineConfig | None = None, stats=None) -> MatchResult:
+    """Match all phase hypotheses in one pooled search; keep the
+    highest-scoring phase (first on ties). No setting of cfg affects
+    recognition: the matcher's values are match-module constants."""
+    phases = query_phases(pcm, weights)
+    if not phases:
+        raise ValueError("audio shorter than one fingerprint window")
+    best = match_mod.recognize_phases(phases, db.index, db.spans, [db.radii], stats)[0]
+    best.title = db.title_of(best.song_id)
+    return best
 
 
 # ------------------------------------------------- continuous listening sim

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DbBoundsError, DbChecksumError, DbMagicError, DbVersionError
-from .index import FingerprintIndex, PartitionerModel, PQCodebook, compression_ratio, encode_index
-from .match import MatcherConfig, local_density
+from .index import (COVERAGE, FingerprintIndex, PartitionerModel, PQCodebook,
+                    compression_ratio, encode_index)
+from .match import local_density
 
 MAGIC = b"NPDB"
 VERSION = 1
@@ -90,15 +91,12 @@ class Database:
 
 
 def build_database(song_entries: list[tuple[SongRecord, np.ndarray]],
-                   partitioner: PartitionerModel, codebook: PQCodebook,
-                   matcher_cfg: MatcherConfig | None = None,
-                   coverage: float = 0.02) -> Database:
+                   partitioner: PartitionerModel, codebook: PQCodebook) -> Database:
     """Encode every song's fingerprints and compute the density model.
 
     song_entries: (record, (n, d) float fingerprints) pairs. Spans are
     assigned back-to-back in song order (sorted by song_id).
     """
-    matcher_cfg = matcher_cfg or MatcherConfig()
     if not song_entries:
         raise ValueError("empty song list")
     ids = [rec.song_id for rec, _ in song_entries]
@@ -121,9 +119,8 @@ def build_database(song_entries: list[tuple[SongRecord, np.ndarray]],
         offsets.append(np.arange(len(f), dtype=np.int32))
         start += len(f)
     idx = encode_index(np.concatenate(fps), np.concatenate(song_ids), np.concatenate(offsets),
-                       partitioner, codebook, coverage=coverage)
-    radii = local_density(idx.decode_all(), idx.song_ids, idx.offsets,
-                          matcher_cfg.k_density, radius_floor=matcher_cfg.radius_floor)
+                       partitioner, codebook)
+    radii = local_density(idx.decode_all(), idx.song_ids, idx.offsets)
     # round-trip through the stored float16 form so a fresh build scores
     # identically to a loaded one
     radii = radii.astype(np.float16).astype(np.float64)
@@ -189,7 +186,7 @@ def serialize(db: Database) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def load_db(data: bytes, coverage: float = 0.02) -> Database:
+def load_db(data: bytes, coverage: float = COVERAGE) -> Database:
     """Parse and validate an NPDB file. Raises typed errors on corruption."""
     if len(data) < 4 or data[:4] != MAGIC:
         raise DbMagicError("not an NPDB file")

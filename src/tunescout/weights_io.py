@@ -105,11 +105,11 @@ def load_detector(data: bytes):
     return DetectorWeights(topology=topo, tensors=tensors, quantized=any_q8 or meta.get("quantized", False))
 
 
-def save_embedder(w, quantize: bool = False) -> bytes:
+def save_embedder(w) -> bytes:
     from dataclasses import asdict
 
     meta = {"topology": asdict(w.topology)}
-    return save_tensors(EMBEDDER_MAGIC, w.tensors, meta, quantize=quantize)
+    return save_tensors(EMBEDDER_MAGIC, w.tensors, meta)
 
 
 def load_embedder(data: bytes):

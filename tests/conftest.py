@@ -62,7 +62,7 @@ def desk():
     specs = make_queries(corpus_cfg, 800, n_noise=100, n_holdout=100,
                          holdout_cfg=holdout_cfg)
     stats = SearchStats()
-    outcomes = evalrun.run_queries(db, specs, corpus_cfg, weights, cfg,
+    outcomes = evalrun.run_queries(db, specs, corpus_cfg, weights,
                                    holdout_cfg=holdout_cfg, stats=stats)
     return {
         "cfg": cfg, "corpus_cfg": corpus_cfg, "holdout_cfg": holdout_cfg,
@@ -85,7 +85,7 @@ def dim_sweep():
         cfg = PipelineConfig(dim=d, embedder_preset="tiny")
         weights = train_pipeline_embedder(corpus_cfg, cfg, steps=300)
         db = build_database_from_corpus(corpus_cfg, weights, cfg)
-        results[d] = evalrun.run_queries(db, specs, corpus_cfg, weights, cfg,
+        results[d] = evalrun.run_queries(db, specs, corpus_cfg, weights,
                                          holdout_cfg=holdout_cfg)
     return {"results": results, "elapsed_s": time.perf_counter() - t0}
 

@@ -47,7 +47,7 @@ from tunescout.index import (
     train_partitioner,
     train_pq,
 )
-from tunescout.match import collect_candidates, local_density
+from tunescout.match import THETA_ABS, collect_candidates, local_density
 from tunescout.pipeline import PipelineConfig, build_database_from_fingerprints
 from tunescout.store import SongRecord, build_database, load_db, serialize
 
@@ -296,7 +296,6 @@ def test_acceptance_07_oracle_equivalence():
 
 def test_acceptance_08_recognition_recall_precision(desk):
     outcomes = desk["outcomes"]
-    cfg = desk["cfg"]
     rows = pr_rows(outcomes, "adaptive")
     feasible = [r["recall"] for r in rows if r["precision"] >= 0.95]
     best_recall = max(feasible) if feasible else 0.0
@@ -304,7 +303,7 @@ def test_acceptance_08_recognition_recall_precision(desk):
     def accept_rate(kind):
         sub = [o for o in outcomes if o.spec.kind == kind]
         acc = sum(1 for o in sub
-                  if o.adaptive_song >= 0 and o.adaptive_score > cfg.matcher.theta_abs)
+                  if o.adaptive_song >= 0 and o.adaptive_score > THETA_ABS)
         return acc / len(sub)
 
     noise_rate = accept_rate("noise")

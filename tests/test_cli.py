@@ -195,12 +195,15 @@ def test_eval_detector_csv(workdir, trained_detector, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("config", [
-    {"matcher": {"top_k": 20, "no_such_key": 1}},  # unknown nested key
-    {"no_such_section": {}},                       # unknown top-level key
-    {"matcher": 5},                                # section of the wrong type
-    {"matcher": {"top_k": "20"}},                  # value of the wrong type
-    {"frontend": {"hop_ms": 20}},                  # the frontend is fixed
+    {"index": {"partitions": 4, "no_such_key": 1}},  # unknown nested key
+    {"no_such_section": {}},                         # unknown top-level key
+    {"gate": 5},                                     # section of the wrong type
+    {"gate": {"consecutive": "3"}},                  # value of the wrong type
+    {"frontend": {"hop_ms": 20}},                    # the frontend is fixed
     "{not json",
+    {"matcher": {"top_k": 20}},                      # the matcher is fixed
+    {"index": {"coverage": 0.02}},                   # so is the probed share
+    {"index": {"subspaces": 12}},                    # and M = dim // 8
 ])
 def test_recognize_bad_config_exits_two(workdir, tmp_path, capsys, config):
     cfg_path = tmp_path / "bad.json"

@@ -248,6 +248,34 @@ def test_gate_smoothing_is_sliding_mean():
     assert events[0].mean_confidence == pytest.approx(0.6)
 
 
+def _gate_loop(preds, cfg, start_time_s=0.0, cadence_s=0.64):
+    """The gate one prediction at a time, np.mean over a fresh slice each."""
+    win = max(1, int(round(cfg.smoothing_window_s / cadence_s)))
+    events, run, last_fire = [], 0, -np.inf
+    for i in range(len(preds)):
+        smoothed = float(np.mean(preds[max(0, i - win + 1) : i + 1]))
+        run = run + 1 if smoothed > cfg.threshold else 0
+        t = start_time_s + i * cadence_s
+        if run >= cfg.consecutive and t - last_fire >= cfg.refractory_s:
+            events.append((i, t, smoothed))
+            last_fire = t
+    return events
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 6, 11])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 40, 700])
+def test_gate_equals_per_prediction_loop(n, window):
+    rng = np.random.default_rng(n * 100 + window)
+    cfg = _gcfg(smoothing_window_s=0.64 * window, consecutive=2, refractory_s=3.0)
+    # quarter steps put many window means exactly on the 0.5 threshold
+    quarters = list(rng.integers(0, 5, n) / 4.0)
+    for preds in (quarters, list(rng.uniform(0, 1, n)), [0.5] * n):
+        got = smooth_and_gate(preds, cfg, start_time_s=1.5)
+        ref = _gate_loop(preds, cfg, start_time_s=1.5)
+        assert [(e.index, e.time_s, e.mean_confidence) for e in got] == ref
+    assert smooth_and_gate([0.5] * n, cfg) == []  # at the threshold is not over it
+
+
 def test_gate_config_validation():
     with pytest.raises(ValueError):
         GateConfig(threshold=0.0)
@@ -303,6 +331,19 @@ def test_fold_batchnorm_preserves_outputs():
     assert not folded.topology.batch_norm
     window = rng.standard_normal((22, 4)).astype(np.float32)
     assert detector_forward(window, folded) == pytest.approx(detector_forward(window, w), abs=1e-5)
+
+
+def test_streaming_detector_applies_the_written_out_fold():
+    w = _moved_batchnorm(init_weights(TOPO, seed=5), np.random.default_rng(5))
+    t = w.tensors
+    layers = StreamingDetector(w)._layers
+    for i, (dw, pw, b) in enumerate(layers):
+        s = t[f"conv{i}_bn_gamma"] / np.sqrt(t[f"conv{i}_bn_var"] + np.float32(1e-5))
+        ref_pw = t[f"conv{i}_pw"] * s
+        ref_b = (t[f"conv{i}_b"] - t[f"conv{i}_bn_mean"]) * s + t[f"conv{i}_bn_beta"]
+        assert dw.tobytes() == t[f"conv{i}_dw"].tobytes()
+        assert pw.dtype == np.float32 and pw.tobytes() == ref_pw.tobytes()
+        assert b.dtype == np.float32 and b.tobytes() == ref_b.tobytes()
 
 
 def test_quantized_file_fits_budget():

@@ -316,6 +316,65 @@ def test_divide_and_encode_rejects_indivisible():
         divide_and_encode(np.zeros((1, MICRO.branch_input * 2 + 1), dtype=np.float32), w)
 
 
+def _branch_loop(features, dout, w):
+    """The head one branch at a time, through nnops.dense: (out, d features, grads)."""
+    topo, t = w.topology, w.tensors
+    bi, bo = features.shape[1] // topo.branches, dout.shape[1] // topo.branches
+    outs, dslices, grads = [], [], {}
+    for j in range(topo.branches):
+        sl = features[:, j * bi : (j + 1) * bi]
+        h = nnops.dense(sl, t[f"br{j}_w1"], t[f"br{j}_b1"])
+        a = nnops.elu(h)
+        outs.append(nnops.dense(a, t[f"br{j}_w2"], t[f"br{j}_b2"]))
+        dy = dout[:, j * bo : (j + 1) * bo]
+        da, grads[f"br{j}_w2"], grads[f"br{j}_b2"] = nnops.dense_bwd(a, t[f"br{j}_w2"], dy)
+        dh = nnops.elu_bwd(h, da)
+        dsl, grads[f"br{j}_w1"], grads[f"br{j}_b1"] = nnops.dense_bwd(sl, t[f"br{j}_w1"], dh)
+        dslices.append(dsl)
+    return np.concatenate(outs, axis=1), np.concatenate(dslices, axis=1), grads
+
+
+@pytest.mark.parametrize("batch", [1, 64])
+@pytest.mark.parametrize("topo", [DEFAULT, TINY], ids=["default", "tiny"])
+def test_batched_head_equals_branch_loop_bit_for_bit(topo, batch):
+    w = init_weights(topo, seed=batch)
+    rng = np.random.default_rng(batch)
+    for name in w.tensors:
+        if name.startswith("br") and name[-2:] in ("b1", "b2"):
+            w.tensors[name] = rng.normal(0, 0.1, w.tensors[name].shape).astype(np.float32)
+    feats = rng.standard_normal((batch, topo.flat_size)).astype(np.float32)
+    dout = rng.standard_normal((batch, topo.dim)).astype(np.float32)
+    out, cache = divide_and_encode(feats, w)
+    dfeats, grads = embedder_mod.divide_and_encode_bwd(dout, w, cache)
+    ref_out, ref_dfeats, ref_grads = _branch_loop(feats, dout, w)
+    assert out.dtype == ref_out.dtype and out.tobytes() == ref_out.tobytes()
+    assert dfeats.dtype == ref_dfeats.dtype and dfeats.tobytes() == ref_dfeats.tobytes()
+    assert sorted(grads) == sorted(ref_grads) and len(grads) == 4 * topo.branches
+    for name, g in ref_grads.items():
+        assert grads[name].dtype == g.dtype and grads[name].tobytes() == g.tobytes(), name
+
+
+def test_inference_form_applies_the_written_out_fold(monkeypatch):
+    w = _perturb_bn(init_weights(TINY, seed=21), seed=22)
+    t = w.tensors
+    seen = []
+    conv2d = embedder_mod.conv2d
+
+    def spy(x, wt, b, *args, **kwargs):
+        seen.append((wt, b))
+        return conv2d(x, wt, b, *args, **kwargs)
+
+    monkeypatch.setattr(embedder_mod, "conv2d", spy)
+    forward_inference(np.zeros((2, TINY.frames, TINY.mel_bins), dtype=np.float32), w)
+    assert len(seen) == len(TINY.conv_channels)
+    for i, (wt, b) in enumerate(seen):
+        s = t[f"conv{i}_bn_gamma"] / np.sqrt(t[f"conv{i}_bn_var"] + np.float32(1e-5))
+        ref_w = t[f"conv{i}_w"] * s
+        ref_b = (t[f"conv{i}_b"] - t[f"conv{i}_bn_mean"]) * s + t[f"conv{i}_bn_beta"]
+        assert wt.dtype == np.float32 and wt.tobytes() == ref_w.tobytes()
+        assert b.dtype == np.float32 and b.tobytes() == ref_b.tobytes()
+
+
 # ------------------------------------------------------------ triplet loss
 
 def test_triplet_satisfied_is_zero():

@@ -8,7 +8,13 @@ from index_helper import build_index
 
 from tunescout.index import SearchHit
 from tunescout.match import (
-    MatcherConfig,
+    K_DENSITY,
+    MAX_CANDIDATES,
+    QUERY_PHASES,
+    RADIUS_FLOOR,
+    THETA_ABS,
+    THETA_GAP,
+    TOP_K,
     MatchResult,
     SequenceCandidate,
     adaptive_accept,
@@ -79,8 +85,8 @@ def test_density_identical_points_floored():
     pts = np.tile(np.ones(4), (20, 1))
     songs = np.arange(20)
     offs = np.zeros(20, dtype=int)
-    r = local_density(pts, songs, offs, k_density=5, radius_floor=1e-3)
-    assert np.all(r == 1e-3)
+    r = local_density(pts, songs, offs, k_density=5)
+    assert np.all(r == RADIUS_FLOOR)
 
 
 def test_density_outlier_larger_than_median():
@@ -237,18 +243,18 @@ def test_batched_scores_equal_per_candidate_reference(small_db):
             assert score_sequence(q, c, idx, spans, r) == expected
 
 
-def _recognize_reference(phases, idx, spans, radii, cfg):
+def _recognize_reference(phases, idx, spans, radii):
     """The matcher before pooling: per phase, one search per vector, voting,
     one score_sequence per candidate, acceptance; the best phase, first on ties."""
     best = None
     for fps in phases:
-        hits = [idx.search_topk(q, cfg.top_k) for q in fps]
+        hits = [idx.search_topk(q, TOP_K) for q in fps]
         scored = []
-        for c in collect_candidates(hits, cfg.max_candidates):
+        for c in collect_candidates(hits, MAX_CANDIDATES):
             scored.append(MatchResult(c.song_id, c.start_offset,
                                       _score_sequence_reference(fps, c, idx, spans, radii),
                                       False, 0.0))
-        result = adaptive_accept(scored, cfg.theta_abs, cfg.theta_gap)
+        result = adaptive_accept(scored, THETA_ABS, THETA_GAP)
         if best is None or result.score > best.score:
             best = result
     return best
@@ -257,19 +263,18 @@ def _recognize_reference(phases, idx, spans, radii, cfg):
 def test_pooled_phases_equal_per_phase_loop(small_db):
     idx, spans, radii = small_db
     rng = np.random.default_rng(8)
-    cfg = MatcherConfig()
     unit = np.ones(idx.n_points)
     for song, start, noise in ((6, 2, 0.15), (1, 20, 0.3), (4, 0, 0.6), (8, 25, 0.05)):
         seq = idx.decode(np.arange(song * 30 + start, song * 30 + min(30, start + 8)))
         phases = [(seq + noise * rng.standard_normal(seq.shape)).astype(np.float32)
                   for _ in range(4)]
         phases[3] = phases[3][:-2]  # the last phase is shorter, as in a real query
-        got = recognize_phases(phases, idx, spans, [radii, unit], cfg)
+        got = recognize_phases(phases, idx, spans, [radii, unit])
         for r, result in zip((radii, unit), got):
-            assert result.to_dict() == _recognize_reference(phases, idx, spans, r, cfg).to_dict()
+            assert result.to_dict() == _recognize_reference(phases, idx, spans, r).to_dict()
     # two phases that both score exactly 1: the first one is kept
     tied = [idx.decode(np.arange(6 * 30 + 2, 6 * 30 + 10)), idx.decode(np.arange(30 + 10, 30 + 18))]
-    for result in recognize_phases(tied, idx, spans, [radii, unit], cfg):
+    for result in recognize_phases(tied, idx, spans, [radii, unit]):
         assert (result.song_id, result.offset_s, result.score) == (6, 2, 1.0)
 
 
@@ -300,6 +305,11 @@ def test_single_candidate_only_abs_applies():
     assert not adaptive_accept([_mr(1, 0.4)], theta_abs=0.5).accepted
 
 
+def test_operating_point_constants():
+    assert (TOP_K, MAX_CANDIDATES, K_DENSITY, RADIUS_FLOOR) == (20, 20, 16, 1e-3)
+    assert (THETA_ABS, THETA_GAP, QUERY_PHASES) == (0.40, 0.05, 4)
+
+
 def test_empty_candidates_no_match():
     out = adaptive_accept([])
     assert out.song_id == -1 and not out.accepted
@@ -310,7 +320,7 @@ def test_empty_candidates_no_match():
 def test_recognize_exact_db_sequence(small_db):
     idx, spans, radii = small_db
     q = idx.decode(np.arange(7 * 30 + 4, 7 * 30 + 12))
-    out = recognize(q, idx, spans, radii, MatcherConfig())
+    out = recognize(q, idx, spans, radii)
     assert out.accepted and out.song_id == 7 and out.offset_s == 4
     assert out.score == pytest.approx(1.0, abs=1e-6)
 
@@ -320,7 +330,7 @@ def test_recognize_noise_rejected(small_db):
     rng = np.random.default_rng(5)
     q = rng.standard_normal((8, 16)).astype(np.float32)
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    assert not recognize(q, idx, spans, radii, MatcherConfig()).accepted
+    assert not recognize(q, idx, spans, radii).accepted
 
 
 def test_recognize_empty_query_raises(small_db):

@@ -1,14 +1,19 @@
 """Pipeline glue: configuration (de)serialization, fingerprint windowing,
 phase hypotheses and the training-set builder."""
 
+import json
+
 import numpy as np
 import pytest
 
 from tunescout.corpus import CorpusConfig, song_audio, to_pcm
+from tunescout.detector import GateConfig
 from tunescout.embedder import fingerprint_stream
 from tunescout.embedder import init_weights as emb_init
 from tunescout.frontend import HOP_MS, log_mel_frames
+from tunescout.index import COVERAGE
 from tunescout.pipeline import (
+    IndexConfig,
     PipelineConfig,
     embedder_training_set,
     fingerprint_phases,
@@ -26,11 +31,22 @@ def test_config_json_round_trip():
 
 
 def test_config_round_trip_preserves_nested_sections():
-    cfg = PipelineConfig()
+    cfg = PipelineConfig(gate=GateConfig(threshold=0.7, buffer_len_s=6.0),
+                         index=IndexConfig(partitions=40))
     out = PipelineConfig.from_json(cfg.to_json())
-    assert out.matcher == cfg.matcher
     assert out.gate == cfg.gate
     assert out.index == cfg.index
+    assert out.index.coverage == COVERAGE
+
+
+def test_config_json_has_nine_settable_values():
+    raw = json.loads(PipelineConfig().to_json())
+    assert raw == {
+        "seed": 7, "dim": 96, "embedder_preset": "default",
+        "gate": {"threshold": 0.5, "consecutive": 3, "smoothing_window_s": 4.0,
+                 "refractory_s": 60.0, "buffer_len_s": 8.0},
+        "index": {"partitions": None},
+    }
 
 
 def test_env_seed_overrides_json(monkeypatch):

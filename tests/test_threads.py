@@ -53,7 +53,7 @@ assert batch.shape == (256, 96)
 data = rng.standard_normal((3000, 8))
 cents, assign, history, sq = index.kmeans(data, 64, seed=0)
 pts = rng.standard_normal((2500, 16))
-radii = kernels.knn_radius(pts, rng.integers(0, 10, 2500), rng.integers(0, 250, 2500), 16)
+radii = kernels.knn_radius(pts, rng.integers(0, 10, 2500), rng.integers(0, 250, 2500), 16, 2)
 # the detector's per-layer products over a 60 s clip, pushed as one block
 det_weights = detector.init_weights(detector.DetectorTopology(), seed=0)
 minute = log_mel_frames(to_pcm(song_audio(CorpusConfig(n_songs=1, duration_s=60.0, seed=7), 0)))
