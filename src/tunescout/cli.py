@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Machine-readable output (JSON / CSV) goes to stdout, diagnostics to stderr.
-Exit codes for `recognize`: 0 accepted match, 1 no match, 2 error.
+Exit codes for `recognize`: 0 accepted match, 1 no match, 2 error. Every
+command exits 2 on bad input, with one `error:` line and no traceback.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from . import pipeline as pipe_mod
 from . import store as store_mod
 from . import weights_io
 from .corpus import CorpusConfig, MusicRegion
-from .errors import TunescoutError
+from .errors import ConfigError, TunescoutError
 from .frontend import CANONICAL_RATE, PcmStream, decode_wav, encode_wav, log_mel_frames
 from .pipeline import PipelineConfig
 
@@ -44,7 +45,7 @@ def _read_audio(path: str, raw_pcm: bool) -> PcmStream:
 
 def cmd_gen_corpus(args) -> int:
     if args.songs < 1:
-        raise SystemExit("--songs must be >= 1")
+        raise ValueError("--songs must be >= 1")
     out = Path(args.out)
     (out / "songs").mkdir(parents=True, exist_ok=True)
     (out / "queries").mkdir(parents=True, exist_ok=True)
@@ -81,9 +82,12 @@ def cmd_gen_corpus(args) -> int:
 
 def _corpus_from_dir(path: str) -> tuple[CorpusConfig, CorpusConfig]:
     meta = json.loads((Path(path) / "corpus.json").read_text())
-    cfg = CorpusConfig(n_songs=meta["n_songs"], duration_s=meta["duration_s"], seed=meta["seed"])
-    holdout = CorpusConfig(n_songs=meta.get("holdout_songs", 1),
-                           duration_s=meta["duration_s"], seed=meta["holdout_seed"])
+    try:
+        cfg = CorpusConfig(n_songs=meta["n_songs"], duration_s=meta["duration_s"], seed=meta["seed"])
+        holdout = CorpusConfig(n_songs=meta.get("holdout_songs", 1),
+                               duration_s=meta["duration_s"], seed=meta["holdout_seed"])
+    except KeyError as e:
+        raise ConfigError(f"{Path(path) / 'corpus.json'}: missing key {e}") from e
     return cfg, holdout
 
 
@@ -115,12 +119,9 @@ def cmd_train(args) -> int:
 def cmd_build(args) -> int:
     cfg = _load_config(args.config)
     corpus_cfg, _ = _corpus_from_dir(args.corpus)
-    weights_path = Path(args.weights)
-    if not weights_path.exists():
-        raise SystemExit(f"missing embedder weights: {weights_path}")
-    weights = weights_io.load_embedder(weights_path.read_bytes())
+    weights = weights_io.load_embedder(Path(args.weights).read_bytes())
     if weights.topology.dim != cfg.dim:
-        raise SystemExit(
+        raise ConfigError(
             f"config dim {cfg.dim} does not match weights dim {weights.topology.dim}")
     _log(f"fingerprinting {corpus_cfg.n_songs} songs")
     db = pipe_mod.build_database_from_corpus(corpus_cfg, weights, cfg)
@@ -290,8 +291,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except (TunescoutError, FileNotFoundError, ValueError) as e:
         _log(f"error: {e}")
         return 2

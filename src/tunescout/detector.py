@@ -28,6 +28,7 @@ from .nnops import (
     relu_bwd,
     sigmoid,
 )
+from .weights_io import dequantize_tensor, quantize_tensor
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,9 @@ class DetectorTopology:
         return self.cadence_frames * HOP_S
 
     def parameter_count(self) -> int:
-        c = self.channels
-        per_conv = self.kernel * c + c * c + c
-        if self.batch_norm:
-            per_conv += 2 * c
-        head = self.flat_size * self.dense_hidden + self.dense_hidden + self.dense_hidden + 1
-        return self.n_layers * per_conv + head
+        """Trainable weights: all but the batch-norm running statistics."""
+        return sum(math.prod(shape) for name, shape in tensor_shapes(self).items()
+                   if not name.endswith(("_bn_mean", "_bn_var")))
 
 
 @dataclass
@@ -76,24 +74,21 @@ class DetectorWeights:
     quantized: bool = False
 
 
+def tensor_shapes(topo: DetectorTopology) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every weight tensor, in initialization order."""
+    c, h = topo.channels, topo.dense_hidden
+    shapes = {}
+    for i in range(topo.n_layers):
+        shapes |= {f"conv{i}_dw": (topo.kernel, c), f"conv{i}_pw": (c, c), f"conv{i}_b": (c,)}
+        if topo.batch_norm:
+            shapes |= {f"conv{i}_bn_{k}": (c,) for k in ("gamma", "beta", "mean", "var")}
+    return shapes | {"fc1_w": (topo.flat_size, h), "fc1_b": (h,), "fc2_w": (h, 1), "fc2_b": (1,)}
+
+
 def init_weights(topo: DetectorTopology, seed: int = 0) -> DetectorWeights:
     rng = np.random.default_rng(seed)
-    c = topo.channels
-    t: dict[str, np.ndarray] = {}
-    for i in range(topo.n_layers):
-        t[f"conv{i}_dw"] = rng.normal(0, math.sqrt(2.0 / topo.kernel), (topo.kernel, c)).astype(np.float32)
-        t[f"conv{i}_pw"] = rng.normal(0, math.sqrt(2.0 / c), (c, c)).astype(np.float32)
-        t[f"conv{i}_b"] = np.zeros(c, dtype=np.float32)
-        if topo.batch_norm:
-            t[f"conv{i}_bn_gamma"] = np.ones(c, dtype=np.float32)
-            t[f"conv{i}_bn_beta"] = np.zeros(c, dtype=np.float32)
-            t[f"conv{i}_bn_mean"] = np.zeros(c, dtype=np.float32)
-            t[f"conv{i}_bn_var"] = np.ones(c, dtype=np.float32)
-    t["fc1_w"] = rng.normal(0, math.sqrt(2.0 / topo.flat_size), (topo.flat_size, topo.dense_hidden)).astype(np.float32)
-    t["fc1_b"] = np.zeros(topo.dense_hidden, dtype=np.float32)
-    t["fc2_w"] = rng.normal(0, math.sqrt(2.0 / topo.dense_hidden), (topo.dense_hidden, 1)).astype(np.float32)
-    t["fc2_b"] = np.zeros(1, dtype=np.float32)
-    return DetectorWeights(topology=topo, tensors=t)
+    return DetectorWeights(topology=topo, tensors={
+        name: nnops.init_tensor(rng, name, shape, 2.0) for name, shape in tensor_shapes(topo).items()})
 
 
 def forward_batch(x: np.ndarray, w: DetectorWeights, train: bool = False):
@@ -286,18 +281,6 @@ def smooth_and_gate(predictions, cfg: GateConfig, start_time_s: float = 0.0,
 
 # ---------------------------------------------------------- quantization
 
-def quantize_tensor(x: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Affine 8-bit quantization: returns (codes, scale, zero)."""
-    lo, hi = float(x.min()), float(x.max())
-    scale = max((hi - lo) / 255.0, 1e-8)
-    q = np.clip(np.round((x - lo) / scale), 0, 255).astype(np.uint8)
-    return q, scale, lo
-
-
-def dequantize_tensor(q: np.ndarray, scale: float, zero: float) -> np.ndarray:
-    return (q.astype(np.float32) * scale + zero).astype(np.float32)
-
-
 def fold_batchnorm(w: DetectorWeights) -> DetectorWeights:
     """Fold batch-norm scale/shift/stats into the pointwise weights and bias."""
     topo = w.topology
@@ -366,11 +349,3 @@ def train_detector(clips, labels, topo: DetectorTopology | None = None,
         grads = backward_batch(dlogits, w, cache)
         opt.step(w.tensors, grads)
     return w
-
-
-def training_loss(w: DetectorWeights, batch: np.ndarray, labels: np.ndarray, train: bool = True):
-    """Loss and gradients on one batch; used by trainer tests and gradient checks."""
-    logits, cache = forward_batch(batch, w, train=train)
-    loss, dlogits = bce_with_logits(logits, np.asarray(labels, dtype=batch.dtype))
-    grads = backward_batch(dlogits, w, cache)
-    return loss, grads

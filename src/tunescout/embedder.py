@@ -6,7 +6,6 @@ branches, each mapped through its own small dense pair, concatenated to d
 values and L2-normalized.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ from .nnops import (
     elu_bwd,
     elu_inplace,
     fold_bn,
+    init_tensor,
     l2_normalize,
     l2_normalize_bwd,
 )
@@ -66,20 +66,6 @@ class EmbedderTopology:
             )
         return self.flat_size // self.branches
 
-    def parameter_count(self) -> int:
-        total = 0
-        cin = 1
-        for c in self.conv_channels:
-            total += self.kernel * self.kernel * cin * c + c + 2 * c  # conv + bias + bn
-            cin = c
-        per_branch = (
-            self.branch_input * self.branch_hidden
-            + self.branch_hidden
-            + self.branch_hidden * (self.dim // self.branches)
-            + self.dim // self.branches
-        )
-        return total + self.branches * per_branch
-
 
 @dataclass
 class EmbedderWeights:
@@ -87,26 +73,26 @@ class EmbedderWeights:
     tensors: dict[str, np.ndarray]
 
 
-def init_weights(topo: EmbedderTopology, seed: int = 0) -> EmbedderWeights:
-    rng = np.random.default_rng(seed)
-    t: dict[str, np.ndarray] = {}
+def tensor_shapes(topo: EmbedderTopology) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every weight tensor, in initialization order."""
+    shapes = {}
     cin = 1
     for i, c in enumerate(topo.conv_channels):
-        fan_in = topo.kernel * topo.kernel * cin
-        t[f"conv{i}_w"] = rng.normal(0, math.sqrt(1.5 / fan_in), (topo.kernel, topo.kernel, cin, c)).astype(np.float32)
-        t[f"conv{i}_b"] = np.zeros(c, dtype=np.float32)
-        t[f"conv{i}_bn_gamma"] = np.ones(c, dtype=np.float32)
-        t[f"conv{i}_bn_beta"] = np.zeros(c, dtype=np.float32)
-        t[f"conv{i}_bn_mean"] = np.zeros(c, dtype=np.float32)
-        t[f"conv{i}_bn_var"] = np.ones(c, dtype=np.float32)
+        shapes |= {f"conv{i}_w": (topo.kernel, topo.kernel, cin, c), f"conv{i}_b": (c,)}
+        shapes |= {f"conv{i}_bn_{k}": (c,) for k in ("gamma", "beta", "mean", "var")}
         cin = c
     bi, bh, bo = topo.branch_input, topo.branch_hidden, topo.dim // topo.branches
     for j in range(topo.branches):
-        t[f"br{j}_w1"] = rng.normal(0, math.sqrt(1.5 / bi), (bi, bh)).astype(np.float32)
-        t[f"br{j}_b1"] = np.zeros(bh, dtype=np.float32)
-        t[f"br{j}_w2"] = rng.normal(0, math.sqrt(1.0 / bh), (bh, bo)).astype(np.float32)
-        t[f"br{j}_b2"] = np.zeros(bo, dtype=np.float32)
-    return EmbedderWeights(topology=topo, tensors=t)
+        shapes |= {f"br{j}_w1": (bi, bh), f"br{j}_b1": (bh,), f"br{j}_w2": (bh, bo), f"br{j}_b2": (bo,)}
+    return shapes
+
+
+def init_weights(topo: EmbedderTopology, seed: int = 0) -> EmbedderWeights:
+    rng = np.random.default_rng(seed)
+    # gain 1.5 ahead of an ELU; the branch output layer (w2) is linear
+    return EmbedderWeights(topology=topo, tensors={
+        name: init_tensor(rng, name, shape, 1.0 if name.endswith("_w2") else 1.5)
+        for name, shape in tensor_shapes(topo).items()})
 
 
 def _branches(x: np.ndarray, branches: int) -> np.ndarray:

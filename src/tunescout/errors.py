@@ -42,4 +42,4 @@ class WeightsFormatError(TunescoutError):
 
 
 class ConfigError(TunescoutError):
-    """Configuration file with unknown keys or sections of the wrong type."""
+    """A config, gate config or corpus.json the program cannot use."""

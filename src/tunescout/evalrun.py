@@ -8,12 +8,12 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .corpus import CorpusConfig, MusicRegion, QuerySpec
-from .detector import DetectorTopology, DetectorWeights, GateConfig, batch_predictions, smooth_and_gate
+from .detector import DetectorTopology, DetectorWeights, GateConfig, smooth_and_gate, streaming_predictions
 from .embedder import EmbedderWeights
 from .frontend import HOP_S, log_mel_frames
 from .index import SearchStats
 from .match import recognize_phases
-from .pipeline import query_phases
+from .pipeline import fingerprint_phases
 
 
 @dataclass
@@ -43,7 +43,7 @@ def run_queries(db, specs: list[QuerySpec], corpus_cfg: CorpusConfig,
     outcomes = []
     for spec in specs:
         wave = corpus_mod.query_audio(corpus_cfg, spec, holdout_cfg)
-        phases = query_phases(corpus_mod.to_pcm(wave), weights)
+        phases = fingerprint_phases(log_mel_frames(corpus_mod.to_pcm(wave)), weights)
         a, n = recognize_phases(phases, db.index, db.spans, radii_sets, stats)
         outcomes.append(QueryOutcome(
             spec,
@@ -88,12 +88,9 @@ def precision_at_recall(rows: list[dict], target_recall: float) -> float:
 # --------------------------------------------------------- detector sweeps
 
 def detector_prediction_stream(wave: np.ndarray, det: DetectorWeights):
-    """Batch-cadence predictions plus their timestamps in seconds."""
-    frames = log_mel_frames(corpus_mod.to_pcm(wave))
-    preds = batch_predictions(frames, det)
-    times = np.array([e * HOP_S for e, _ in preds])
-    probs = np.array([p for _, p in preds])
-    return probs, times
+    """The streaming detector's predictions plus their timestamps in seconds."""
+    preds = streaming_predictions(log_mel_frames(corpus_mod.to_pcm(wave)), det)
+    return np.array([p for _, p in preds]), np.array([e * HOP_S for e, _ in preds])
 
 
 def gate_region_metrics(probs: np.ndarray, times: np.ndarray,

@@ -1,15 +1,25 @@
-"""Numpy building blocks for the two small networks: layer forward/backward
-passes, batch norm, and an Adam optimizer.
+"""Numpy building blocks for the two small networks: weight initialization,
+layer forward/backward passes, batch norm, and an Adam optimizer.
 
 Everything is dtype-preserving so gradient checks can run in float64 while
 training/inference runs in float32. Backward functions return gradients in
 the same order as the forward's parameters.
 """
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 BN_EPS = 1e-5
+
+
+def init_tensor(rng, name: str, shape: tuple[int, ...], gain: float) -> np.ndarray:
+    """A float32 weight tensor: N(0, gain / fan_in) for a matrix or kernel
+    (last axis = outputs), else ones for a batch-norm gamma or var, else zeros."""
+    if len(shape) == 1:
+        return (np.ones if name.endswith(("gamma", "var")) else np.zeros)(shape, dtype=np.float32)
+    return rng.normal(0, math.sqrt(gain / math.prod(shape[:-1])), shape).astype(np.float32)
 
 
 # ------------------------------------------------------------- activations

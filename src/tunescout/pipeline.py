@@ -20,7 +20,7 @@ from .corpus import CorpusConfig, to_pcm
 from .detector import DetectorWeights, GateConfig, smooth_and_gate, streaming_predictions
 from .embedder import EmbedderTopology, EmbedderWeights, fingerprint_stream
 from .errors import ConfigError
-from .frontend import HOP_MS, HOP_S, PcmStream, canonicalize, log_mel_frames
+from .frontend import HOP, HOP_MS, HOP_S, WINDOW, PcmStream, canonicalize, log_mel_frames
 from .match import QUERY_PHASES, MatchResult
 
 
@@ -213,22 +213,23 @@ def build_database_from_corpus(corpus_cfg: CorpusConfig, weights: EmbedderWeight
 
 # ------------------------------------------------------------- recognition
 
-def query_phases(pcm: PcmStream, weights: EmbedderWeights) -> list[np.ndarray]:
-    """A query's fingerprints under each of the matcher's window phases."""
-    return fingerprint_phases(log_mel_frames(canonicalize(pcm)), weights)
-
-
-def recognize_pcm(db: store_mod.Database, pcm: PcmStream, weights: EmbedderWeights,
-                  cfg: PipelineConfig | None = None, stats=None) -> MatchResult:
-    """Match all phase hypotheses in one pooled search; keep the
-    highest-scoring phase (first on ties). No setting of cfg affects
-    recognition: the matcher's values are match-module constants."""
-    phases = query_phases(pcm, weights)
+def recognize_frames(db: store_mod.Database, frames: np.ndarray, weights: EmbedderWeights,
+                     stats=None) -> MatchResult:
+    """Match all phase hypotheses of these log-Mel frames in one pooled
+    search; keep the highest-scoring phase (first on ties)."""
+    phases = fingerprint_phases(frames, weights)
     if not phases:
         raise ValueError("audio shorter than one fingerprint window")
     best = match_mod.recognize_phases(phases, db.index, db.spans, [db.radii], stats)[0]
     best.title = db.title_of(best.song_id)
     return best
+
+
+def recognize_pcm(db: store_mod.Database, pcm: PcmStream, weights: EmbedderWeights,
+                  cfg: PipelineConfig | None = None, stats=None) -> MatchResult:
+    """recognize_frames on the audio's log-Mel frames. No setting of cfg
+    affects recognition: the matcher's values are match-module constants."""
+    return recognize_frames(db, log_mel_frames(canonicalize(pcm)), weights, stats)
 
 
 # ------------------------------------------------- continuous listening sim
@@ -241,32 +242,33 @@ def stream_file(db: store_mod.Database, pcm: PcmStream, emb_weights: EmbedderWei
     fingerprinter processed (duty-cycle proxy for the main-processor cost).
     """
     pcm = canonicalize(pcm)
-    emitted = streaming_predictions(log_mel_frames(pcm), det_weights)
+    frames = log_mel_frames(pcm)
+    emitted = streaming_predictions(frames, det_weights)
     preds = [p for _, p in emitted]
     events = []
-    wakeups = 0
     fingerprinted_s = 0.0
     total_s = pcm.duration_s()
     if preds:
         gate_events = smooth_and_gate(preds, cfg.gate, start_time_s=emitted[0][0] * HOP_S,
                                       cadence_s=det_weights.topology.cadence_s)
+        buffer_len = int(cfg.gate.buffer_len_s * pcm.sample_rate)
         for ev in gate_events:
-            wakeups += 1
-            end = int(ev.time_s * pcm.sample_rate)
-            start = max(0, end - int(cfg.gate.buffer_len_s * pcm.sample_rate))
-            buf = PcmStream(samples=pcm.samples[start:end], sample_rate=pcm.sample_rate)
+            # the buffer is the frames whose windows lie inside [start, end),
+            # end being the sample at which the firing prediction was emitted
+            end = emitted[ev.index][0] * HOP
+            start = max(0, end - buffer_len)
+            buf = frames[-(-start // HOP) : (end - WINDOW) // HOP + 1]
             fingerprinted_s += (end - start) / pcm.sample_rate
             record = {"time_s": round(ev.time_s, 2),
                       "mean_confidence": round(ev.mean_confidence, 4)}
             try:
-                result = recognize_pcm(db, buf, emb_weights, cfg)
-                record["match"] = result.to_dict()
+                record["match"] = recognize_frames(db, buf, emb_weights).to_dict()
             except ValueError as e:
                 record["match"] = {"error": str(e)}
             events.append(record)
     return {
         "events": events,
-        "wakeups": wakeups,
+        "wakeups": len(events),
         "duty_cycle": fingerprinted_s / total_s if total_s else 0.0,
         "predictions": len(preds),
         "duration_s": total_s,

@@ -1,4 +1,5 @@
-"""Binary weight files for the detector (magic NPMD) and embedder (NPFW).
+"""Binary weight files for the detector (magic NPMD) and embedder (NPFW),
+and the affine 8-bit codec of their q8 tensors.
 
 Layout, little-endian throughout:
   magic: 4 bytes | version: u16 | meta_len: u32 | meta: UTF-8 JSON |
@@ -7,6 +8,7 @@ Layout, little-endian throughout:
     scale: f32 | zero: f32 | ndim: u8 | dims: u32 each | payload
 """
 
+import dataclasses
 import json
 import struct
 
@@ -22,10 +24,20 @@ DTYPE_F32 = 0
 DTYPE_Q8 = 1
 
 
+def quantize_tensor(x: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Affine 8-bit quantization: returns (codes, scale, zero)."""
+    lo, hi = float(x.min()), float(x.max())
+    scale = max((hi - lo) / 255.0, 1e-8)
+    q = np.clip(np.round((x - lo) / scale), 0, 255).astype(np.uint8)
+    return q, scale, lo
+
+
+def dequantize_tensor(q: np.ndarray, scale: float, zero: float) -> np.ndarray:
+    return (q.astype(np.float32) * scale + zero).astype(np.float32)
+
+
 def save_tensors(magic: bytes, tensors: dict[str, np.ndarray], meta: dict,
                  quantize: bool = False) -> bytes:
-    from .detector import quantize_tensor  # local import to avoid a cycle
-
     out = [magic, struct.pack("<H", VERSION)]
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
     out.append(struct.pack("<I", len(meta_bytes)))
@@ -82,7 +94,7 @@ def load_tensors(data: bytes, magic: bytes) -> tuple[dict[str, np.ndarray], dict
                 any_q8 = True
                 raw = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
                 pos += count
-                tensors[name] = (raw.astype(np.float32) * scale + zero).reshape(shape)
+                tensors[name] = dequantize_tensor(raw, scale, zero).reshape(shape)
             else:
                 raise WeightsFormatError(f"unknown tensor dtype {dtype}")
     except (struct.error, ValueError, UnicodeDecodeError) as e:
@@ -90,33 +102,49 @@ def load_tensors(data: bytes, magic: bytes) -> tuple[dict[str, np.ndarray], dict
     return tensors, meta, any_q8
 
 
-def save_detector(w, quantize: bool = False) -> bytes:
-    from dataclasses import asdict
+def _topology(cls, meta, tensors: dict[str, np.ndarray], tensor_shapes):
+    """The topology that meta describes, after checking that the file holds
+    exactly the tensors, by name and shape, that tensor_shapes lists for it."""
+    raw = meta.get("topology") if isinstance(meta, dict) else None
+    if not isinstance(raw, dict):
+        raise WeightsFormatError("weight file meta has no topology object")
+    fields = {f.name for f in dataclasses.fields(cls)}
+    if set(raw) != fields:
+        raise WeightsFormatError(f"topology keys: missing {sorted(fields - set(raw))}, "
+                                 f"unknown {sorted(set(raw) - fields)}")
+    try:
+        # JSON has no tuples; the topologies are frozen, so their sequences are
+        topo = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+        expected = tensor_shapes(topo)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise WeightsFormatError(f"bad topology {raw}: {e}") from e
+    got = {k: x.shape for k, x in tensors.items()}
+    bad = sorted(k for k in expected.keys() | got.keys() if got.get(k) != expected.get(k))
+    if bad:
+        raise WeightsFormatError(f"tensors do not match the topology: {bad}")
+    return topo
 
-    meta = {"topology": asdict(w.topology), "quantized": bool(quantize or w.quantized)}
+
+def save_detector(w, quantize: bool = False) -> bytes:
+    meta = {"topology": dataclasses.asdict(w.topology), "quantized": bool(quantize or w.quantized)}
     return save_tensors(DETECTOR_MAGIC, w.tensors, meta, quantize=quantize)
 
 
 def load_detector(data: bytes):
-    from .detector import DetectorTopology, DetectorWeights
+    from .detector import DetectorTopology, DetectorWeights, tensor_shapes
 
     tensors, meta, any_q8 = load_tensors(data, DETECTOR_MAGIC)
-    topo = DetectorTopology(**meta["topology"])
+    topo = _topology(DetectorTopology, meta, tensors, tensor_shapes)
     return DetectorWeights(topology=topo, tensors=tensors, quantized=any_q8 or meta.get("quantized", False))
 
 
 def save_embedder(w) -> bytes:
-    from dataclasses import asdict
-
-    meta = {"topology": asdict(w.topology)}
-    return save_tensors(EMBEDDER_MAGIC, w.tensors, meta)
+    return save_tensors(EMBEDDER_MAGIC, w.tensors, {"topology": dataclasses.asdict(w.topology)})
 
 
 def load_embedder(data: bytes):
-    from .embedder import EmbedderTopology, EmbedderWeights
+    from .embedder import EmbedderTopology, EmbedderWeights, tensor_shapes
 
     tensors, meta, _ = load_tensors(data, EMBEDDER_MAGIC)
-    topo_meta = dict(meta["topology"])
-    topo_meta["conv_channels"] = tuple(topo_meta["conv_channels"])
-    topo = EmbedderTopology(**topo_meta)
+    topo = _topology(EmbedderTopology, meta, tensors, tensor_shapes)
     return EmbedderWeights(topology=topo, tensors=tensors)

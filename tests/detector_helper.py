@@ -1,10 +1,11 @@
-"""Test helper: the music probability of one log-Mel window, through the
-batch forward pass that the streaming detector is checked against."""
+"""Test helpers: the music probability of one log-Mel window, through the
+batch forward pass that the streaming detector is checked against, and the
+loss and gradients of one training batch."""
 
 import numpy as np
 
-from tunescout.detector import DetectorWeights, forward_batch
-from tunescout.nnops import sigmoid
+from tunescout.detector import DetectorWeights, backward_batch, forward_batch
+from tunescout.nnops import bce_with_logits, sigmoid
 
 
 def detector_forward(window: np.ndarray, w: DetectorWeights) -> float:
@@ -19,3 +20,11 @@ def detector_forward(window: np.ndarray, w: DetectorWeights) -> float:
         raise ValueError("window contains non-finite values")
     logits, _ = forward_batch(window[None].astype(np.float32), w, train=False)
     return float(sigmoid(logits)[0])
+
+
+def training_loss(w: DetectorWeights, batch: np.ndarray, labels: np.ndarray, train: bool = True):
+    """Loss and gradients on one batch, for trainer tests and gradient checks."""
+    logits, cache = forward_batch(batch, w, train=train)
+    loss, dlogits = bce_with_logits(logits, np.asarray(labels, dtype=batch.dtype))
+    grads = backward_batch(dlogits, w, cache)
+    return loss, grads

@@ -10,6 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from detector_helper import training_loss
 from index_helper import build_index
 
 from tunescout import store as store_mod
@@ -22,7 +23,6 @@ from tunescout.detector import (
     init_weights,
     quantize_weights,
     streaming_predictions,
-    training_loss,
 )
 from tunescout.embedder import (
     EmbedderTopology,

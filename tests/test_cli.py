@@ -1,13 +1,19 @@
 """Exercise every CLI subcommand end to end on a small corpus."""
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tunescout
 from tunescout import cli, weights_io
 from tunescout.corpus import CorpusConfig, MusicRegion, ambient_audio, song_audio, to_pcm
+from tunescout.embedder import init_weights as emb_init
 from tunescout.frontend import encode_wav
 from tunescout.pipeline import PipelineConfig
 
@@ -77,11 +83,12 @@ def test_build_reports_storage(workdir, capsys):
     assert report["n_fingerprints"] > 0 and report["total_bytes_per_song"] > 0
 
 
-def test_build_rejects_dim_mismatch(workdir, tmp_path):
-    with pytest.raises(SystemExit):
-        cli.main(["build", "--corpus", workdir["corpus"],
-                  "--weights", workdir["weights"],  # d=16 weights, default d=96
-                  "--out", str(tmp_path / "bad.npdb")])
+def test_build_rejects_dim_mismatch(workdir, tmp_path, capsys):
+    assert cli.main(["build", "--corpus", workdir["corpus"],
+                     "--weights", workdir["weights"],  # d=16 weights, default d=96
+                     "--out", str(tmp_path / "bad.npdb")]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: config dim 96 does not match weights dim 16"]
 
 
 def test_recognize_known_excerpt_exits_zero(workdir, tmp_path, capsys):
@@ -130,8 +137,7 @@ def test_recognize_corrupt_db_exits_two(workdir, tmp_path):
 
 
 def test_gen_corpus_rejects_zero_songs(tmp_path):
-    with pytest.raises(SystemExit):
-        cli.main(["gen-corpus", "--songs", "0", "--out", str(tmp_path / "x")])
+    assert cli.main(["gen-corpus", "--songs", "0", "--out", str(tmp_path / "x")]) == 2
 
 
 def test_stream_silence_and_music(workdir, trained_detector, tmp_path, capsys):
@@ -232,3 +238,57 @@ def test_stream_bad_gate_config_exits_two(workdir, tmp_path, capsys, key, value)
     assert rc == 2
     assert "Traceback" not in err
     assert err.strip().splitlines() == [f"error: gate config: unknown keys ['{key}']"]
+
+
+# ------------------------------------------------- the process's exit code
+
+def _weights_file(path: Path, meta=None, drop: str | None = None) -> str:
+    """A tiny embedder file, optionally with other meta or without a tensor."""
+    w = emb_init(PipelineConfig(embedder_preset="tiny").embedder_topology())
+    tensors = {k: v for k, v in w.tensors.items() if k != drop}
+    meta = {"topology": asdict(w.topology)} if meta is None else meta
+    path.write_bytes(weights_io.save_tensors(weights_io.EMBEDDER_MAGIC, tensors, meta))
+    return str(path)
+
+
+def _bad_input_argv(case: str, tmp: Path) -> list[str]:
+    corpus_meta = {"n_songs": 1, "duration_s": 1.0, "seed": 7, "holdout_seed": 8}
+    if case == "corpus_missing_key":
+        del corpus_meta["seed"]
+    (tmp / "corpus").mkdir()
+    (tmp / "corpus" / "corpus.json").write_text(json.dumps(corpus_meta))
+    junk = tmp / "junk.bin"
+    junk.write_bytes(b"not a database at all")
+    build = ["build", "--corpus", str(tmp / "corpus"), "--out", str(tmp / "db.npdb"), "--weights"]
+    if case == "corrupt_db":
+        return ["recognize", "--db", str(junk), "--weights", str(junk), "--wav", str(junk)]
+    if case == "corrupt_weights_meta":
+        return build + [_weights_file(tmp / "w.npfw", meta=["not", "an", "object"])]
+    if case == "missing_tensor":
+        return build + [_weights_file(tmp / "w.npfw", drop="br0_b2")]
+    if case == "bad_config":
+        (tmp / "bad.json").write_text(json.dumps({"no_such_key": 1}))
+        return ["recognize", "--db", str(junk), "--weights", str(junk), "--wav", str(junk),
+                "--config", str(tmp / "bad.json")]
+    if case == "zero_songs":
+        return ["gen-corpus", "--songs", "0", "--out", str(tmp / "out")]
+    if case == "missing_weights_file":
+        return build + [str(tmp / "no_such.npfw")]
+    return build + [str(junk)]  # corpus_missing_key: the corpus is read first
+
+
+@pytest.mark.parametrize("case", [
+    "corrupt_db", "corrupt_weights_meta", "missing_tensor", "bad_config",
+    "zero_songs", "missing_weights_file", "corpus_missing_key",
+])
+def test_cli_process_exits_two_with_one_error_line(tmp_path, case):
+    """Run as a process: only there does an escaped SystemExit or exception
+    show its exit status (1) and traceback."""
+    src = str(Path(tunescout.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "tunescout.cli", *_bad_input_argv(case, tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

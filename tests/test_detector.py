@@ -3,7 +3,7 @@ training."""
 
 import numpy as np
 import pytest
-from detector_helper import detector_forward
+from detector_helper import detector_forward, training_loss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,13 +17,12 @@ from tunescout.detector import (
     batch_predictions,
     fold_batchnorm,
     init_weights,
-    quantize_tensor,
     quantize_weights,
     smooth_and_gate,
     streaming_predictions,
     train_detector,
-    training_loss,
 )
+from tunescout.weights_io import quantize_tensor
 
 TOPO = DetectorTopology()
 SMALL = DetectorTopology(input_frames=22, channels=4, n_layers=2, dense_hidden=3)

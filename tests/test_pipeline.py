@@ -1,24 +1,29 @@
 """Pipeline glue: configuration (de)serialization, fingerprint windowing,
-phase hypotheses and the training-set builder."""
+phase hypotheses, the training-set builder and the stream loop's wake-up
+buffers."""
 
 import json
 
 import numpy as np
 import pytest
 
-from tunescout.corpus import CorpusConfig, song_audio, to_pcm
-from tunescout.detector import GateConfig
+from tunescout import pipeline
+from tunescout.corpus import CorpusConfig, MusicRegion, ambient_audio, song_audio, to_pcm
+from tunescout.detector import DetectorTopology, GateConfig, GateEvent
+from tunescout.detector import init_weights as det_init
 from tunescout.embedder import fingerprint_stream
 from tunescout.embedder import init_weights as emb_init
-from tunescout.frontend import HOP_MS, log_mel_frames
+from tunescout.frontend import HOP_MS, HOP_S, PcmStream, log_mel_frames
 from tunescout.index import COVERAGE
 from tunescout.pipeline import (
     IndexConfig,
     PipelineConfig,
+    build_database_from_corpus,
     embedder_training_set,
     fingerprint_phases,
     fingerprint_wave,
     recognize_pcm,
+    stream_file,
 )
 
 TINY = PipelineConfig(embedder_preset="tiny").embedder_topology()
@@ -127,3 +132,74 @@ def test_training_set_shapes_and_labels():
     assert len(song_ids) == len(offsets_ms) == windows.shape[0]
     assert set(song_ids) == {0, 1, 2}
     assert np.all(offsets_ms % HOP_MS == 0)
+
+
+# ------------------------------------------------------------ stream loop
+
+DET_TOPO = DetectorTopology()
+STREAM_CORPUS = CorpusConfig(n_songs=5, duration_s=60.0, seed=3)
+FIRE_INDICES = [0, 40, 98]  # 0: the buffer is cut at the recording's start
+
+
+@pytest.fixture(scope="module")
+def stream_run():
+    """A 70 s recording streamed with the gate firing at FIRE_INDICES, plus
+    the frames each wake-up recognized and the log-Mel call count."""
+    cfg = PipelineConfig(embedder_preset="tiny")
+    db = build_database_from_corpus(STREAM_CORPUS, WEIGHTS, cfg)
+    regions = [MusicRegion(start_s=5.0, duration_s=60.0, song_id=1, snr_db=20.0)]
+    pcm = to_pcm(ambient_audio(70.0, regions, STREAM_CORPUS, seed=2))
+    buffers, mel_calls = [], []
+
+    def gate(preds, gate_cfg, start_time_s, cadence_s):
+        return [GateEvent(i, start_time_s + i * cadence_s, preds[i]) for i in FIRE_INDICES]
+
+    def recognize(db, frames, weights):
+        buffers.append(frames)
+        return real_recognize(db, frames, weights)
+
+    def counted_log_mel(stream):
+        mel_calls.append(len(stream.samples))
+        return real_log_mel(stream)
+
+    real_recognize, real_log_mel = pipeline.recognize_frames, pipeline.log_mel_frames
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "smooth_and_gate", gate)
+        mp.setattr(pipeline, "recognize_frames", recognize)
+        mp.setattr(pipeline, "log_mel_frames", counted_log_mel)
+        report = stream_file(db, pcm, WEIGHTS, det_init(DET_TOPO), cfg)
+    return {"db": db, "pcm": pcm, "report": report, "buffers": buffers,
+            "mel_calls": mel_calls, "cfg": cfg}
+
+
+def _wakeup_samples(pcm: PcmStream, index: int, buffer_len_s: float) -> np.ndarray:
+    """The hop-aligned samples [end - buffer, end) of a wake-up at prediction
+    index, end being the sample at which that prediction was emitted."""
+    end = (DET_TOPO.input_frames + index * DET_TOPO.cadence_frames) * 160
+    return pcm.samples[max(0, end - int(buffer_len_s * 16000)) : end]
+
+
+def test_stream_runs_log_mel_once_per_recording(stream_run):
+    assert stream_run["mel_calls"] == [len(stream_run["pcm"].samples)]
+    assert stream_run["report"]["wakeups"] == len(FIRE_INDICES)
+
+
+def test_wakeup_match_equals_recognize_pcm_on_aligned_samples(stream_run):
+    pcm, db, buffer_len_s = stream_run["pcm"], stream_run["db"], stream_run["cfg"].gate.buffer_len_s
+    for index, event, frames in zip(FIRE_INDICES, stream_run["report"]["events"],
+                                    stream_run["buffers"]):
+        samples = _wakeup_samples(pcm, index, buffer_len_s)
+        assert np.array_equal(frames, log_mel_frames(PcmStream(samples, 16000)))
+        assert event["match"] == recognize_pcm(db, PcmStream(samples, 16000), WEIGHTS).to_dict()
+    assert stream_run["report"]["duty_cycle"] == pytest.approx(
+        sum(len(_wakeup_samples(pcm, i, buffer_len_s)) for i in FIRE_INDICES) / len(pcm.samples))
+
+
+def test_fire_index_98_gets_the_on_grid_buffer(stream_run):
+    # the gate's fire time, 67.18 s in float64, truncates to one sample
+    # before the hop grid: a buffer cut from it would start off the grid
+    time_s = DET_TOPO.input_frames * HOP_S + 98 * DET_TOPO.cadence_s
+    assert stream_run["report"]["events"][2]["time_s"] == 67.18
+    assert int(time_s * 16000) == 1_074_879
+    on_grid = stream_run["pcm"].samples[1_074_880 - 128_000 : 1_074_880]
+    assert np.array_equal(stream_run["buffers"][2], log_mel_frames(PcmStream(on_grid, 16000)))

@@ -1,5 +1,7 @@
 """Weight-file round trips (NPMD detector / NPFW embedder) and typed failures."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -66,3 +68,64 @@ def test_truncation_raises():
 def test_deterministic_bytes():
     w = init_weights(SMALL_DET, seed=3)
     assert weights_io.save_detector(w) == weights_io.save_detector(w)
+
+
+def test_q8_file_decodes_to_the_codec_round_trip():
+    w = init_weights(SMALL_DET, seed=4)
+    out = weights_io.load_detector(weights_io.save_detector(w, quantize=True))
+    for name, x in w.tensors.items():
+        expected = weights_io.dequantize_tensor(*weights_io.quantize_tensor(x))
+        assert out.tensors[name].tobytes() == expected.tobytes()
+
+
+LOADERS = {
+    "detector": (weights_io.DETECTOR_MAGIC, weights_io.load_detector,
+                 lambda: init_weights(SMALL_DET, seed=1)),
+    "embedder": (weights_io.EMBEDDER_MAGIC, weights_io.load_embedder,
+                 lambda: emb_init(SMALL_EMB, seed=2)),
+}
+
+
+def _file(kind, meta=None, edit=None):
+    """A weight file of this kind; meta(topology dict) replaces its meta and
+    edit(tensors) changes its tensors in place."""
+    magic, _, make = LOADERS[kind]
+    w = make()
+    tensors = dict(w.tensors)
+    if edit:
+        edit(tensors)
+    topo = asdict(w.topology)
+    return weights_io.save_tensors(magic, tensors, {"topology": topo} if meta is None else meta(topo))
+
+
+BAD_META = {
+    "not_an_object": lambda topo: [topo],
+    "no_topology": lambda topo: {"quantized": False},
+    "topology_not_an_object": lambda topo: {"topology": 5},
+    "unknown_key": lambda topo: {"topology": {**topo, "no_such_key": 1}},
+    "missing_key": lambda topo: {"topology": {k: v for k, v in topo.items() if k != "stride"}},
+    "bad_value": lambda topo: {"topology": {**topo, "stride": 0}},
+    "wrong_type": lambda topo: {"topology": {**topo, "stride": "2"}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("case", sorted(BAD_META))
+def test_bad_metadata_raises(kind, case):
+    with pytest.raises(WeightsFormatError):
+        LOADERS[kind][1](_file(kind, meta=BAD_META[case]))
+
+
+BAD_TENSORS = {
+    "missing": lambda t: t.pop(sorted(t)[0]),
+    "unexpected": lambda t: t.update(extra=np.zeros(3, dtype=np.float32)),
+    "wrong_shape": lambda t: t.update({k: t[k][:-1] for k in sorted(t)[:1]}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("case", sorted(BAD_TENSORS))
+def test_tensors_not_matching_the_topology_raise(kind, case):
+    with pytest.raises(WeightsFormatError, match="tensors do not match the topology"):
+        LOADERS[kind][1](_file(kind, edit=BAD_TENSORS[case]))
+
