@@ -241,8 +241,9 @@ def fingerprint_stream(frames: np.ndarray, w: EmbedderWeights,
     ends = [e for s in starts for e in range(s + topo.frames, n + 1, topo.hop_frames)]
     out = np.empty((len(ends), topo.dim), dtype=np.float32)
     for s in range(0, len(ends), _BATCH_WINDOWS):
-        chunk = np.stack([frames[e - topo.frames : e] for e in ends[s : s + _BATCH_WINDOWS]])
-        out[s : s + len(chunk)] = forward_inference(chunk.astype(np.float32), w)
+        chunk = np.stack([frames[e - topo.frames : e] for e in ends[s : s + _BATCH_WINDOWS]],
+                         dtype=np.float32)
+        out[s : s + len(chunk)] = forward_inference(chunk, w)
     return out
 
 

@@ -6,12 +6,14 @@ log-Mel frames at a 10 ms hop. Its parameters are fixed: the model weights
 and the on-device DB are built for exactly this frontend.
 """
 
+import functools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import WavCodecError, WavHeaderError, WavTruncatedError
+from .kernels import row_blocks
 
 CANONICAL_RATE = 16000  # Hz
 HOP_MS = 10
@@ -23,7 +25,7 @@ MEL_BINS = 32
 FMIN_HZ = 125.0
 FMAX_HZ = 7500.0
 LOG_FLOOR = 1e-6
-_BLOCK_FRAMES = 1024  # log-Mel frames per FFT block
+_BLOCK_FRAMES = 128  # log-Mel frames per FFT block
 
 
 @dataclass
@@ -140,8 +142,12 @@ def mel_center_frequencies() -> np.ndarray:
     return _mel_edges_hz()[1:-1]
 
 
+@functools.cache
 def mel_filterbank() -> np.ndarray:
-    """(MEL_BINS, FFT_SIZE//2 + 1) triangular filterbank on the Mel scale."""
+    """(MEL_BINS, FFT_SIZE//2 + 1) triangular filterbank on the Mel scale.
+
+    Built once per process on first use; the array is read-only.
+    """
     n_freqs = FFT_SIZE // 2 + 1
     freqs = np.linspace(0.0, CANONICAL_RATE / 2.0, n_freqs)
     pts = _mel_edges_hz()
@@ -151,6 +157,7 @@ def mel_filterbank() -> np.ndarray:
         up = (freqs - lo) / (ctr - lo)
         down = (hi - freqs) / (hi - ctr)
         fb[m] = np.clip(np.minimum(up, down), 0.0, None)
+    fb.setflags(write=False)
     return fb
 
 
@@ -159,9 +166,9 @@ def log_mel_frames(stream: PcmStream) -> np.ndarray:
 
     Per frame: Hann window -> power spectrum -> triangular Mel bank ->
     log(max(energy, LOG_FLOOR)). Frame count is floor((n - WINDOW)/HOP) + 1.
-    Frames are processed in blocks of 1024 (the last block takes the
-    remainder), so the working memory does not depend on the input length;
-    only the float32 output grows with it.
+    Frames are processed in row_blocks of 128 through buffers allocated once
+    per call, so the working memory stays in cache and does not depend on
+    the input length; only the float32 output grows with it.
     """
     if stream.sample_rate != CANONICAL_RATE:
         raise ValueError(
@@ -172,19 +179,25 @@ def log_mel_frames(stream: PcmStream) -> np.ndarray:
         raise ValueError(f"stream of {len(x)} samples is shorter than one {WINDOW}-sample window")
     n_frames = (len(x) - WINDOW) // HOP + 1
     frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW)[::HOP][:n_frames]
-    window = np.hanning(WINDOW)
+    # 2**-15 scales exactly, so x * (w / 32768) rounds as (x / 32768) * w
+    window = np.hanning(WINDOW) / 32768.0
     fb_t = mel_filterbank().T
     out = np.empty((n_frames, MEL_BINS), dtype=np.float32)
-    # The last block takes the remainder (up to 2047 frames): BLAS rounds a
-    # product of a few dozen rows differently from the same rows inside a
-    # large product, so no block may be short unless it is the whole input.
-    starts = list(range(0, n_frames - _BLOCK_FRAMES + 1, _BLOCK_FRAMES)) or [0]
-    for s, e in zip(starts, starts[1:] + [n_frames]):
-        block = frames[s:e].astype(np.float64)
-        block *= 1.0 / 32768.0
-        block *= window
-        spec = np.fft.rfft(block, n=FFT_SIZE)
-        power = np.square(spec.real)
-        power += np.square(spec.imag)
-        out[s:e] = np.log(np.maximum(power @ fb_t, LOG_FLOOR))
+    blocks = row_blocks(n_frames, _BLOCK_FRAMES)
+    rows = blocks[-1][1] - blocks[-1][0]  # the largest block
+    padded = np.zeros((rows, FFT_SIZE))  # columns past WINDOW stay zero
+    spec = np.empty((rows, FFT_SIZE // 2 + 1), dtype=np.complex128)
+    power = np.empty(spec.shape)
+    imag2 = np.empty(spec.shape)
+    energy = np.empty((rows, MEL_BINS))
+    for s, e in blocks:
+        r = e - s
+        np.multiply(frames[s:e], window, out=padded[:r, :WINDOW])
+        np.fft.rfft(padded[:r], out=spec[:r])
+        np.square(spec[:r].real, out=power[:r])
+        np.square(spec[:r].imag, out=imag2[:r])
+        power[:r] += imag2[:r]
+        np.matmul(power[:r], fb_t, out=energy[:r])
+        np.maximum(energy[:r], LOG_FLOOR, out=energy[:r])
+        out[s:e] = np.log(energy[:r], out=energy[:r])
     return out

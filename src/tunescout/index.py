@@ -18,6 +18,23 @@ MIN_SCAN_POINTS = 256  # a search scans at least this many points (or all)
 COVERAGE = 0.02  # a search probes partitions until they hold this share of the DB
 
 
+def _sq_dist8(columns: np.ndarray, c: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """||x - c||^2 for each column x of an (8, n) array, written into buf.
+
+    Equals ((columns.T - c) ** 2).sum(axis=1) bit for bit: numpy sums a row
+    of eight values pairwise, ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)), and the
+    columns are added in that order, one vector op per step instead of one
+    reduction per row. numpy's order differs at other widths. Returns a view
+    of buf.
+    """
+    np.subtract(columns, c[:, None], out=buf)
+    np.square(buf, out=buf)
+    buf[0::2] += buf[1::2]
+    buf[0::4] += buf[2::4]
+    buf[0] += buf[4]
+    return buf[0]
+
+
 def kmeans(data: np.ndarray, k: int, seed: int = 0, iters: int = 15):
     """Lloyd's algorithm with k-means++ init.
 
@@ -30,19 +47,28 @@ def kmeans(data: np.ndarray, k: int, seed: int = 0, iters: int = 15):
     n = data.shape[0]
     if n < k:
         raise ValueError(f"{n} points is fewer than k={k}")
+    columns = np.ascontiguousarray(data.T)
+    # the column form is exact only at width 8, every PQ subspace (M = d/8);
+    # other widths keep the row expression
+    buf = np.empty_like(columns) if data.shape[1] == 8 else None
+
+    def sq_dist(c):
+        if buf is None:
+            return ((data - c) ** 2).sum(axis=1)
+        return _sq_dist8(columns, c, buf)
+
     rng = np.random.default_rng(seed)
     centroids = np.empty((k, data.shape[1]), dtype=np.float64)
     centroids[0] = data[rng.integers(n)]
-    d2 = ((data - centroids[0]) ** 2).sum(axis=1)
+    d2 = sq_dist(centroids[0]).copy()
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
             centroids[j] = data[rng.integers(n)]
         else:
             centroids[j] = data[rng.choice(n, p=d2 / total)]
-        np.minimum(d2, ((data - centroids[j]) ** 2).sum(axis=1), out=d2)
+        np.minimum(d2, sq_dist(centroids[j]), out=d2)
     history = []
-    columns = np.ascontiguousarray(data.T)
     for _ in range(iters):
         assign, dist2 = kernels.assign_nearest(data, centroids)
         history.append(float(dist2.sum()))
@@ -194,6 +220,7 @@ class FingerprintIndex:
         counts = np.bincount(self.partition_ids, minlength=p)
         self._posting_starts = np.concatenate([[0], np.cumsum(counts)])
         self._terms = None  # built by the first search
+        self._centroids64 = None  # likewise
 
     @property
     def dim(self) -> int:
@@ -215,9 +242,15 @@ class FingerprintIndex:
     def decode_all(self) -> np.ndarray:
         return self.decode(np.arange(self.n_points))
 
+    def _centroids_f64(self) -> np.ndarray:
+        """The (P, d) partition centroids as float64, converted once and kept."""
+        if self._centroids64 is None:
+            self._centroids64 = self.partitioner.centroids.astype(np.float64)
+        return self._centroids64
+
     def _probe_list(self, q: np.ndarray, probes: int | None) -> tuple[np.ndarray, np.ndarray]:
         """Partitions to scan for q, nearest first, and ||q - c_p||^2 for every p."""
-        cd2 = ((self.partitioner.centroids.astype(np.float64) - q) ** 2).sum(axis=1)
+        cd2 = ((self._centroids_f64() - q) ** 2).sum(axis=1)
         order = np.argsort(cd2, kind="stable")
         if probes is not None:
             return order[:probes], cd2
@@ -240,7 +273,7 @@ class FingerprintIndex:
         """
         if self._terms is None:
             m, sub = self.codebook.n_subspaces, self.codebook.sub_dim
-            cents = self.partitioner.centroids.astype(np.float64)
+            cents = self._centroids_f64()
             cb = self.codebook.centroids.astype(np.float64)
             rows = self.partition_ids.astype(np.intp) * 256
             terms = np.zeros(self.n_points)

@@ -6,6 +6,20 @@ BLAS does the arithmetic while the (chunk, k) distance matrix stays small.
 
 import numpy as np
 
+_BLOCK_ROWS = 512  # rows per assign_nearest block
+
+
+def row_blocks(n, size):
+    """(start, end) blocks of `size` rows over n rows, the last taking the
+    remainder (size to 2 * size - 1 rows).
+
+    OpenBLAS rounds a product of 64 or more rows the same as those rows
+    inside one large product, but not a product of 1-48 rows, so with
+    size >= 64 no block is short unless it is the whole input.
+    """
+    starts = list(range(0, n - size + 1, size)) or [0]
+    return list(zip(starts, starts[1:] + [n]))
+
 
 def pq_scan(lut, codes):
     """Asymmetric distances: sum per-subspace table entries for each code row.
@@ -25,7 +39,8 @@ def assign_nearest(x, centroids):
 
     Distances are ||c||^2 - 2 x.c + ||x||^2, with the -2 folded into the
     centroids once: scaling by a power of two is exact, so the products equal
-    -2 * (x @ centroids.T) bit for bit. One argmin pass per chunk finds the
+    -2 * (x @ centroids.T) bit for bit. Rows are scored in row_blocks of 512
+    into one reused distance buffer. One argmin pass per block finds the
     first nearest centroid, and its distance is read at that index.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -34,16 +49,18 @@ def assign_nearest(x, centroids):
     idx = np.empty(n, dtype=np.int64)
     d2 = np.empty(n, dtype=np.float64)
     c_sq = np.einsum("kd,kd->k", centroids, centroids)
+    x_sq = np.einsum("nd,nd->n", x, x)
     neg2_t = (-2.0 * centroids).T
-    chunk = max(1, int(4e6) // max(1, centroids.shape[0]))
-    for s in range(0, n, chunk):
-        xs = x[s : s + chunk]
-        d = xs @ neg2_t
-        d += c_sq[None, :]
-        d += np.einsum("nd,nd->n", xs, xs)[:, None]
-        i = np.argmin(d, axis=1)
-        idx[s : s + chunk] = i
-        d2[s : s + chunk] = np.maximum(np.take_along_axis(d, i[:, None], axis=1)[:, 0], 0.0)
+    blocks = row_blocks(n, _BLOCK_ROWS)
+    d = np.empty((blocks[-1][1] - blocks[-1][0], centroids.shape[0]))  # the largest block
+    for s, e in blocks:
+        ds = d[: e - s]
+        np.matmul(x[s:e], neg2_t, out=ds)
+        ds += c_sq[None, :]
+        ds += x_sq[s:e, None]
+        i = np.argmin(ds, axis=1)
+        idx[s:e] = i
+        d2[s:e] = np.maximum(np.take_along_axis(ds, i[:, None], axis=1)[:, 0], 0.0)
     return idx, d2
 
 

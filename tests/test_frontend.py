@@ -135,6 +135,14 @@ def test_pure_tone_peaks_at_nearest_mel_bin():
     assert abs(peak_hz - 1000.0) < 16000 / len(x) * 2
 
 
+def test_filterbank_is_built_once_and_read_only():
+    fb = mel_filterbank()
+    assert mel_filterbank() is fb
+    assert not fb.flags.writeable
+    with pytest.raises(ValueError):
+        fb[0, 0] = 1.0
+
+
 def test_too_short_stream_raises():
     with pytest.raises(ValueError):
         log_mel_frames(_pcm(np.zeros(fe.WINDOW - 1)))
@@ -194,9 +202,11 @@ def _whole_array_log_mel(samples):
     return np.log(np.maximum(energy, fe.LOG_FLOOR)).astype(np.float32)
 
 
-@pytest.mark.parametrize("n_frames", [1, 1023, 1024, 1025, 2051, 2064])
+@pytest.mark.parametrize("n_frames", [1, 40, 127, 128, 129, 255, 256, 257,
+                                      1023, 1024, 1025, 2051, 2064])
 def test_blocked_log_mel_equals_whole_array(n_frames):
-    # blocks of 1024 frames, the last one taking the remainder; the extra
+    # blocks of 128 frames, the last one taking the remainder (128-255
+    # frames), and inputs of fewer than 64 frames as one block; the extra
     # 100 samples fall short of a frame
     rng = np.random.default_rng(n_frames)
     n = fe.WINDOW + (n_frames - 1) * fe.HOP + 100

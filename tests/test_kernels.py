@@ -109,18 +109,29 @@ def _knn_radius_reference(points, song_ids, offsets, k, exclude_s):
     return np.sqrt(out)
 
 
+def test_row_blocks_never_leave_a_short_last_block():
+    assert kernels.row_blocks(0, 512) == [(0, 0)]
+    assert kernels.row_blocks(40, 128) == [(0, 40)]
+    assert kernels.row_blocks(255, 128) == [(0, 255)]
+    assert kernels.row_blocks(256, 128) == [(0, 128), (128, 256)]
+    assert kernels.row_blocks(1160, 512) == [(0, 512), (512, 1160)]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_assign_nearest_equals_previous_body_and_first_duplicate_wins(rng, dtype):
-    cents = rng.standard_normal((40, 8))
-    cents[[17, 33]] = cents[5]
-    x = np.concatenate([rng.standard_normal((900, 8)),
-                        cents[5] + 1e-3 * rng.standard_normal((60, 8))]).astype(dtype)
-    idx, d2 = kernels.assign_nearest(x, cents)
-    ref_idx, ref_d2 = _assign_nearest_reference(x, cents)
-    assert np.array_equal(idx, ref_idx)
-    assert np.array_equal(d2, ref_d2)
-    assert (idx[900:] == 5).all()
-    assert not np.isin(idx, [17, 33]).any()
+    # 960 rows are one block; 3060 rows are five blocks of 512, the last
+    # taking a 1012-row remainder; 1160 rows are 512 + 648
+    for n, dim, k in [(900, 8, 40), (3000, 8, 256), (1100, 96, 70)]:
+        cents = rng.standard_normal((k, dim))
+        cents[[17, 33]] = cents[5]
+        x = np.concatenate([rng.standard_normal((n, dim)),
+                            cents[5] + 1e-3 * rng.standard_normal((60, dim))]).astype(dtype)
+        idx, d2 = kernels.assign_nearest(x, cents)
+        ref_idx, ref_d2 = _assign_nearest_reference(x, cents)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(d2, ref_d2)
+        assert (idx[n:] == 5).all()
+        assert not np.isin(idx, [17, 33]).any()
 
 
 @pytest.mark.parametrize("exclude_s", [0, 2, 3])

@@ -180,12 +180,14 @@ def test_load_leaves_partition_terms_to_the_first_search(blob):
     loaded = load_db(blob)
     idx = loaded.index
     assert idx._terms is None  # set-up builds no search tables
+    assert idx._centroids64 is None
     idx.search_batch(idx.decode(np.arange(3)), 5)
-    terms = idx._terms
+    terms, cents = idx._terms, idx._centroids64
+    assert np.array_equal(cents, idx.partitioner.centroids.astype(np.float64))
     assert terms is not None and terms.shape == (idx.n_points,)
     # 2<c_p, y> + ||y||^2 = ||c_p + y||^2 - ||c_p||^2 for each fingerprint
     c = idx.partitioner.centroids.astype(np.float64)[idx.partition_ids]
     y = pq_decode(idx.codes, idx.codebook).astype(np.float64)
     assert np.allclose(terms, ((c + y) ** 2).sum(axis=1) - (c ** 2).sum(axis=1), atol=1e-9)
     idx.search_batch(idx.decode(np.arange(3)), 5)
-    assert idx._terms is terms  # kept, not rebuilt
+    assert idx._terms is terms and idx._centroids64 is cents  # kept, not rebuilt
