@@ -145,10 +145,6 @@ def cmd_recognize(args) -> int:
 
 def cmd_stream(args) -> int:
     cfg = _load_config(args.config)
-    if args.gate_config:
-        gate = pipe_mod.config_from_json(det_mod.GateConfig, Path(args.gate_config).read_text(),
-                                         "gate config")
-        cfg = replace(cfg, gate=gate)
     db = store_mod.load_db(Path(args.db).read_bytes())
     emb = weights_io.load_embedder(Path(args.weights).read_bytes())
     det = weights_io.load_detector(Path(args.detector_weights).read_bytes())
@@ -199,7 +195,7 @@ def cmd_eval_detector(args) -> int:
         dur = float(rng.uniform(16.0, 40.0))
         regions.append(MusicRegion(start_s=pos, duration_s=dur,
                                    song_id=i % corpus_cfg.n_songs,
-                                   snr_db=float(rng.choice([20.0, 10.0, 5.0]))))
+                                   snr_db=float(rng.choice(corpus_mod.SNRS_DB))))
         pos += dur + float(rng.uniform(120.0, 200.0))
         i += 1
     wave = corpus_mod.ambient_audio(length_s, regions, corpus_cfg, seed=cfg.seed)
@@ -263,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detector-weights", required=True)
     p.add_argument("--wav", required=True)
     p.add_argument("--raw-pcm", action="store_true")
-    p.add_argument("--gate-config", default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_stream)
 

@@ -14,6 +14,11 @@ import numpy as np
 
 from .frontend import CANONICAL_RATE, PcmStream
 
+# the SNRs (dB) that music is mixed with noise at: queries, the embedder's
+# noisy training copies, detector clips and the ambient regions of eval-detector
+SNRS_DB = (20.0, 10.0, 5.0)
+_MOD_BLOCK = 1 << 16  # samples per block of noise_audio's amplitude modulation
+
 
 @dataclass(frozen=True)
 class CorpusConfig:
@@ -66,21 +71,22 @@ def noise_audio(duration_s: float, rng: np.random.Generator, kind: str = "mix") 
     """Synthetic ambient noise at CANONICAL_RATE: white, low-passed, or
     amplitude-modulated."""
     n = int(duration_s * CANONICAL_RATE)
-    white = rng.normal(0, 1, n)
-    if kind == "white":
-        out = white
-    elif kind == "lowpass":
+    out = rng.normal(0, 1, n)  # white; rebinding out frees it once filtered
+    if kind == "lowpass":
         a = rng.uniform(0.9, 0.99)
-        out = _one_pole(white, a, 1 - a)
-    else:  # "mix": low-passed noise with slow amplitude modulation
+        out = _one_pole(out, a, 1 - a)
+    elif kind != "white":  # "mix": low-passed noise with slow amplitude modulation
         a = rng.uniform(0.85, 0.98)
-        out = _one_pole(white, a, 1 - a)
+        out = _one_pole(out, a, 1 - a)
         mod_hz = rng.uniform(0.5, 4.0)
-        t = np.arange(n) / CANONICAL_RATE
-        out *= 0.4 + 0.6 * (0.5 + 0.5 * np.sin(2 * math.pi * mod_hz * t + rng.uniform(0, 6.28)))
-    peak = np.abs(out).max()
+        phase = rng.uniform(0, 6.28)
+        for s in range(0, n, _MOD_BLOCK):
+            t = np.arange(s, min(s + _MOD_BLOCK, n)) / CANONICAL_RATE
+            out[s : s + len(t)] *= 0.4 + 0.6 * (0.5 + 0.5 * np.sin(2 * math.pi * mod_hz * t + phase))
+    peak = max(out.max(), -out.min())  # the largest |sample|, without an |out| copy
     if peak > 0:
-        out = out / peak * 0.7
+        out /= peak
+        out *= 0.7
     return out.astype(np.float32)
 
 
@@ -124,21 +130,21 @@ class QuerySpec:
 
 
 def make_queries(cfg: CorpusConfig, n_queries: int, query_len_s: float = 8.0,
-                 snrs=(20.0, 10.0, 5.0), n_noise: int = 0, n_holdout: int = 0,
-                 holdout_cfg: CorpusConfig | None = None, seed: int | None = None) -> list[QuerySpec]:
+                 n_noise: int = 0, n_holdout: int = 0,
+                 holdout_cfg: CorpusConfig | None = None) -> list[QuerySpec]:
     """Deterministic query plan over the corpus.
 
     Music queries come from indexed songs; holdout queries from a disjoint
     corpus config; noise queries have song_id -1.
     """
-    rng = np.random.default_rng([cfg.seed if seed is None else seed, 77])
+    rng = np.random.default_rng([cfg.seed, 77])
     specs = []
     qid = 0
     for _ in range(n_queries):
         song = int(rng.integers(0, cfg.n_songs))
         start = float(rng.uniform(0, max(0.0, cfg.duration_s - query_len_s - 1.0)))
         specs.append(QuerySpec(qid, "music", song, start, query_len_s,
-                               float(rng.choice(snrs)), float(rng.uniform(0.5, 1.5))))
+                               float(rng.choice(SNRS_DB)), float(rng.uniform(0.5, 1.5))))
         qid += 1
     for _ in range(n_noise):
         specs.append(QuerySpec(qid, "noise", -1, 0.0, query_len_s, 0.0,
@@ -149,7 +155,7 @@ def make_queries(cfg: CorpusConfig, n_queries: int, query_len_s: float = 8.0,
             song = int(rng.integers(0, holdout_cfg.n_songs))
             start = float(rng.uniform(0, max(0.0, holdout_cfg.duration_s - query_len_s - 1.0)))
             specs.append(QuerySpec(qid, "holdout", song, start, query_len_s,
-                                   float(rng.choice(snrs)), float(rng.uniform(0.5, 1.5))))
+                                   float(rng.choice(SNRS_DB)), float(rng.uniform(0.5, 1.5))))
             qid += 1
     return specs
 
@@ -180,8 +186,7 @@ def spec_to_dict(spec: QuerySpec) -> dict:
 
 # ------------------------------------------------------- detector material
 
-def detector_clips(n_clips: int, seed: int, clip_s: float = 5.0,
-                   snrs=(20.0, 10.0, 5.0)):
+def detector_clips(n_clips: int, seed: int, clip_s: float = 5.0):
     """(waveform, label) pairs at CANONICAL_RATE: harmonic music (label 1,
     possibly noisy) vs. noise/silence (label 0)."""
     sr = CANONICAL_RATE
@@ -194,7 +199,7 @@ def detector_clips(n_clips: int, seed: int, clip_s: float = 5.0,
             s = int(rng.uniform(0, 1.5) * sr)
             wave = song[s : s + int(clip_s * sr)].copy()
             if rng.random() < 0.7:
-                wave = mix_at_snr(wave, noise_audio(clip_s, rng), float(rng.choice(snrs)))
+                wave = mix_at_snr(wave, noise_audio(clip_s, rng), float(rng.choice(SNRS_DB)))
             label = 1
         else:
             roll = rng.random()

@@ -26,6 +26,8 @@ from .nnops import (
 )
 
 _BATCH_WINDOWS = 256  # windows per forward pass in fingerprint_stream
+TRIPLET_MARGIN = 0.4  # in squared distance: how much farther a negative must be than the positive
+POS_TOLERANCE_MS = 300.0  # same-song windows whose starts differ by less are positives
 
 
 @dataclass(frozen=True)
@@ -249,7 +251,7 @@ def fingerprint_stream(frames: np.ndarray, w: EmbedderWeights,
 
 # ----------------------------------------------------------- triplet loss
 
-def triplet_loss(a: np.ndarray, p: np.ndarray, n: np.ndarray, margin: float = 0.4):
+def triplet_loss(a: np.ndarray, p: np.ndarray, n: np.ndarray, margin: float = TRIPLET_MARGIN):
     """max(0, ||a-p||^2 - ||a-n||^2 + margin), averaged over rows.
 
     Returns (loss, (da, dp, dn)).
@@ -272,17 +274,17 @@ class TripletBatch:
     anchors: np.ndarray  # indices into the batch
     positives: np.ndarray
     negatives: np.ndarray
-    margin: float
 
 
 def mine_triplets(embeddings: np.ndarray, song_ids: np.ndarray, offsets_ms: np.ndarray,
-                  pos_tolerance_ms: float = 300.0, margin: float = 0.4,
-                  hard_positives: bool = True) -> TripletBatch:
+                  pos_tolerance_ms: float = POS_TOLERANCE_MS,
+                  margin: float = TRIPLET_MARGIN) -> TripletBatch:
     """Within-batch mining.
 
     A positive pair must come from the same song with start offsets closer
-    than pos_tolerance_ms. Negatives are semi-hard (farther than the
-    positive but inside the margin) when available, else the hardest.
+    than pos_tolerance_ms; each anchor takes its hardest (farthest)
+    positive. Negatives are semi-hard (farther than the positive but inside
+    the margin) when available, else the hardest.
     """
     song_ids = np.asarray(song_ids)
     offsets_ms = np.asarray(offsets_ms)
@@ -303,7 +305,7 @@ def mine_triplets(embeddings: np.ndarray, song_ids: np.ndarray, offsets_ms: np.n
         neg_idx = np.nonzero(neg_mask)[0]
         if len(neg_idx) == 0:
             continue
-        j = pos_idx[np.argmax(d2[i, pos_idx]) if hard_positives else np.argmin(d2[i, pos_idx])]
+        j = pos_idx[np.argmax(d2[i, pos_idx])]
         d_ap = d2[i, j]
         semi = neg_idx[(d2[i, neg_idx] > d_ap) & (d2[i, neg_idx] < d_ap + margin)]
         k = semi[np.argmin(d2[i, semi])] if len(semi) else neg_idx[np.argmin(d2[i, neg_idx])]
@@ -312,10 +314,7 @@ def mine_triplets(embeddings: np.ndarray, song_ids: np.ndarray, offsets_ms: np.n
         negatives.append(k)
     if not anchors:
         raise ValueError("no valid positive pair in batch")
-    return TripletBatch(
-        anchors=np.array(anchors), positives=np.array(positives),
-        negatives=np.array(negatives), margin=margin,
-    )
+    return TripletBatch(np.array(anchors), np.array(positives), np.array(negatives))
 
 
 # -------------------------------------------------------------- training
@@ -326,8 +325,6 @@ class EmbedderTrainConfig:
     songs_per_batch: int = 16
     views_per_song: int = 4
     lr: float = 1e-3
-    margin: float = 0.4
-    pos_tolerance_ms: float = 300.0
     seed: int = 0
 
 
@@ -337,7 +334,7 @@ def train_embedder(windows: np.ndarray, song_ids: np.ndarray, offsets_ms: np.nda
     """Triplet training on aligned windows.
 
     windows: (N, frames, mel_bins) log-Mel views; views of the same song
-    whose offsets differ by less than pos_tolerance_ms count as positives.
+    whose offsets differ by less than POS_TOLERANCE_MS count as positives.
     Deterministic given the seed.
     """
     topo = topo or EmbedderTopology()
@@ -360,12 +357,11 @@ def train_embedder(windows: np.ndarray, song_ids: np.ndarray, offsets_ms: np.nda
         batch = windows[idx].astype(np.float32)
         emb, cache = forward_batch(batch, w, train=True)
         try:
-            trip = mine_triplets(emb, song_ids[idx], offsets_ms[idx],
-                                 hyper.pos_tolerance_ms, hyper.margin)
+            trip = mine_triplets(emb, song_ids[idx], offsets_ms[idx])
         except ValueError:
             continue
         _, (da, dp, dn) = triplet_loss(emb[trip.anchors], emb[trip.positives],
-                                       emb[trip.negatives], trip.margin)
+                                       emb[trip.negatives])
         demb = np.zeros_like(emb)
         np.add.at(demb, trip.anchors, da)
         np.add.at(demb, trip.positives, dp)

@@ -42,4 +42,4 @@ class WeightsFormatError(TunescoutError):
 
 
 class ConfigError(TunescoutError):
-    """A config, gate config or corpus.json the program cannot use."""
+    """A config, TUNESCOUT_SEED or corpus.json the program cannot use."""

@@ -15,6 +15,10 @@ from .index import SearchStats
 from .match import recognize_phases
 from .pipeline import fingerprint_phases
 
+PR_THRESHOLDS = np.round(np.linspace(0.0, 1.0, 51), 3)  # score thresholds of pr_rows
+GATE_THRESHOLDS = np.round(np.linspace(0.02, 0.98, 25), 3)  # gate thresholds of detector_sweep
+REGION_SLACK_S = 8.0  # a wake-up this long after a region's end still counts as a hit
+
 
 @dataclass
 class QueryOutcome:
@@ -52,16 +56,13 @@ def run_queries(db, specs: list[QuerySpec], corpus_cfg: CorpusConfig,
     return outcomes
 
 
-def pr_rows(outcomes: list[QueryOutcome], scorer: str = "adaptive",
-            thresholds: np.ndarray | None = None) -> list[dict]:
+def pr_rows(outcomes: list[QueryOutcome], scorer: str = "adaptive") -> list[dict]:
     """Threshold sweep: a query is accepted when its best score clears the
     threshold; precision counts wrong-song and non-music acceptances against
     it, recall is over the music queries."""
-    if thresholds is None:
-        thresholds = np.round(np.linspace(0.0, 1.0, 51), 3)
     n_music = sum(1 for o in outcomes if o.is_music)
     rows = []
-    for th in thresholds:
+    for th in PR_THRESHOLDS:
         tp = fp = 0
         for o in outcomes:
             song = o.adaptive_song if scorer == "adaptive" else o.naive_song
@@ -94,8 +95,7 @@ def detector_prediction_stream(wave: np.ndarray, det: DetectorWeights):
 
 
 def gate_region_metrics(probs: np.ndarray, times: np.ndarray,
-                        regions: list[MusicRegion], gate: GateConfig,
-                        total_s: float, slack_s: float = 8.0,
+                        regions: list[MusicRegion], gate: GateConfig, total_s: float,
                         cadence_s: float = DetectorTopology().cadence_s) -> dict:
     """Recall over music regions and false positives per hour outside them;
     cadence_s is the prediction interval of the detector behind probs."""
@@ -106,7 +106,7 @@ def gate_region_metrics(probs: np.ndarray, times: np.ndarray,
     for ev in events:
         inside = False
         for i, reg in enumerate(regions):
-            if reg.start_s <= ev.time_s <= reg.start_s + reg.duration_s + slack_s:
+            if reg.start_s <= ev.time_s <= reg.start_s + reg.duration_s + REGION_SLACK_S:
                 hit[i] = True
                 inside = True
         if not inside:
@@ -123,12 +123,9 @@ def gate_region_metrics(probs: np.ndarray, times: np.ndarray,
 
 def detector_sweep(probs: np.ndarray, times: np.ndarray, regions: list[MusicRegion],
                    gate: GateConfig, total_s: float,
-                   thresholds: np.ndarray | None = None,
                    cadence_s: float = DetectorTopology().cadence_s) -> list[dict]:
-    if thresholds is None:
-        thresholds = np.round(np.linspace(0.02, 0.98, 25), 3)
     rows = []
-    for th in thresholds:
+    for th in GATE_THRESHOLDS:
         g = replace(gate, threshold=float(th))
         m = gate_region_metrics(probs, times, regions, g, total_s, cadence_s=cadence_s)
         rows.append({"threshold": float(th), "consecutive": gate.consecutive,

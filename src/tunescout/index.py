@@ -16,6 +16,7 @@ from . import kernels
 
 MIN_SCAN_POINTS = 256  # a search scans at least this many points (or all)
 COVERAGE = 0.02  # a search probes partitions until they hold this share of the DB
+PQ_MAX_TRAIN = 65536  # train_pq fits its codebooks on a sample of at most this many points
 
 
 def _sq_dist8(columns: np.ndarray, c: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -117,8 +118,7 @@ def train_partitioner(data: np.ndarray, p: int, seed: int = 0, iters: int = 15) 
     return PartitionerModel(centroids=centroids.astype(np.float32))
 
 
-def train_pq(data: np.ndarray, m: int, seed: int = 0, iters: int = 15,
-             max_train: int = 65536) -> tuple[PQCodebook, float]:
+def train_pq(data: np.ndarray, m: int, seed: int = 0, iters: int = 15) -> tuple[PQCodebook, float]:
     """Independent 256-centroid k-means per subspace slice.
 
     data should already be residuals (fingerprint minus partition centroid).
@@ -132,8 +132,8 @@ def train_pq(data: np.ndarray, m: int, seed: int = 0, iters: int = 15,
     if data.shape[0] < 256:
         raise ValueError(f"need at least 256 training points, got {data.shape[0]}")
     rng = np.random.default_rng(seed)
-    if data.shape[0] > max_train:
-        data = data[rng.choice(data.shape[0], size=max_train, replace=False)]
+    if data.shape[0] > PQ_MAX_TRAIN:
+        data = data[rng.choice(data.shape[0], size=PQ_MAX_TRAIN, replace=False)]
     sub = d // m
     cents = np.empty((m, 256, sub), dtype=np.float32)
     err2 = np.zeros(data.shape[0])

@@ -180,8 +180,7 @@ def recognize_phases(phases: list[np.ndarray], idx: FingerprintIndex,
 
 
 def recognize(query_fps: np.ndarray, idx: FingerprintIndex,
-              spans: dict[int, tuple[int, int]], radii: np.ndarray,
-              stats: SearchStats | None = None) -> MatchResult:
+              spans: dict[int, tuple[int, int]], radii: np.ndarray) -> MatchResult:
     """Full two-stage match of one fingerprint sequence: per-step ANN
     search, candidate voting, sequence scoring, adaptive acceptance."""
-    return recognize_phases([query_fps], idx, spans, [radii], stats)[0]
+    return recognize_phases([query_fps], idx, spans, [radii])[0]

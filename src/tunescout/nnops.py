@@ -12,6 +12,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 BN_EPS = 1e-5
+BN_MOMENTUM = 0.1  # share of a training batch's statistics in the running ones
+NORM_EPS = 1e-12  # l2_normalize divides by at least this norm
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
 def init_tensor(rng, name: str, shape: tuple[int, ...], gain: float) -> np.ndarray:
@@ -85,7 +88,7 @@ def dense_bwd(x, w, dy):
 
 # ------------------------------------------------------------- batch norm
 
-def batchnorm(x, gamma, beta, running_mean, running_var, train, momentum=0.1):
+def batchnorm(x, gamma, beta, running_mean, running_var, train):
     """Per-channel batch norm over the last axis.
 
     Returns (y, cache, new_running_mean, new_running_var). In train mode the
@@ -96,8 +99,8 @@ def batchnorm(x, gamma, beta, running_mean, running_var, train, momentum=0.1):
     if train:
         mu = flat.mean(axis=0)
         var = flat.var(axis=0)
-        rm = (1 - momentum) * running_mean + momentum * mu
-        rv = (1 - momentum) * running_var + momentum * var
+        rm = (1 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mu
+        rv = (1 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
     else:
         mu, var = running_mean, running_var
         rm, rv = running_mean, running_var
@@ -229,14 +232,14 @@ def conv2d_bwd(x, w, dy, stride=2):
 
 # ---------------------------------------------------------- normalization
 
-def l2_normalize(x, eps=1e-12):
+def l2_normalize(x):
     norm = np.sqrt((x * x).sum(axis=-1, keepdims=True))
-    return x / np.maximum(norm, eps)
+    return x / np.maximum(norm, NORM_EPS)
 
 
-def l2_normalize_bwd(x, dy, eps=1e-12):
+def l2_normalize_bwd(x, dy):
     norm = np.sqrt((x * x).sum(axis=-1, keepdims=True))
-    norm = np.maximum(norm, eps)
+    norm = np.maximum(norm, NORM_EPS)
     y = x / norm
     return (dy - y * (dy * y).sum(axis=-1, keepdims=True)) / norm
 
@@ -244,23 +247,20 @@ def l2_normalize_bwd(x, dy, eps=1e-12):
 # ------------------------------------------------------------------ adam
 
 class Adam:
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {}
         self.v = {}
 
     def step(self, params: dict, grads: dict):
         self.t += 1
-        b1t = 1 - self.beta1**self.t
-        b2t = 1 - self.beta2**self.t
+        b1t = 1 - ADAM_BETA1**self.t
+        b2t = 1 - ADAM_BETA2**self.t
         for name in sorted(grads):
             g = grads[name]
             m = self.m.setdefault(name, np.zeros_like(g))
             v = self.v.setdefault(name, np.zeros_like(g))
-            m += (1 - self.beta1) * (g - m)
-            v += (1 - self.beta2) * (g * g - v)
-            params[name] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m += (1 - ADAM_BETA1) * (g - m)
+            v += (1 - ADAM_BETA2) * (g * g - v)
+            params[name] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)

@@ -16,7 +16,7 @@ from . import embedder as emb_mod
 from . import index as index_mod
 from . import match as match_mod
 from . import store as store_mod
-from .corpus import CorpusConfig, to_pcm
+from .corpus import SNRS_DB, CorpusConfig, to_pcm
 from .detector import DetectorWeights, GateConfig, smooth_and_gate, streaming_predictions
 from .embedder import EmbedderTopology, EmbedderWeights, fingerprint_stream
 from .errors import ConfigError
@@ -60,24 +60,23 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineConfig":
-        """Parse a serialized config; TUNESCOUT_SEED, when set, overrides the seed."""
-        cfg = config_from_json(cls, text, "config")
+        """Parse a serialized config; TUNESCOUT_SEED, when set, overrides the seed.
+
+        Invalid JSON, unknown keys, a value or section of the wrong type and
+        a TUNESCOUT_SEED that is not an integer raise ConfigError.
+        """
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"config is not valid JSON: {e}") from e
+        cfg = _config_section(cls, raw, "config")
         if "TUNESCOUT_SEED" in os.environ:
-            cfg = dataclasses.replace(cfg, seed=int(os.environ["TUNESCOUT_SEED"]))
+            seed = os.environ["TUNESCOUT_SEED"]
+            try:
+                cfg = dataclasses.replace(cfg, seed=int(seed))
+            except ValueError as e:
+                raise ConfigError(f"TUNESCOUT_SEED={seed!r} is not an integer") from e
         return cfg
-
-
-def config_from_json(cls, text: str, where: str):
-    """Build a config dataclass, nested sections included, from JSON text.
-
-    Invalid JSON, unknown keys, and a value or section of the wrong type
-    raise ConfigError.
-    """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{where} is not valid JSON: {e}") from e
-    return _config_section(cls, raw, where)
 
 
 def _config_section(cls, raw, where: str):
@@ -163,7 +162,7 @@ def embedder_training_set(cfg: CorpusConfig, n_songs: int | None = None,
         versions = [wave]
         for _ in range(noisy_copies):
             noise = corpus_mod.noise_audio(len(wave) / cfg.sample_rate, rng)
-            versions.append(corpus_mod.mix_at_snr(wave, noise, float(rng.choice([20.0, 10.0, 5.0]))))
+            versions.append(corpus_mod.mix_at_snr(wave, noise, float(rng.choice(SNRS_DB))))
         feats = [log_mel_frames(to_pcm(v)) for v in versions]
         max_start = feats[0].shape[0] - topo.frames - fps_hop
         if max_start <= 0:
@@ -184,8 +183,7 @@ def train_pipeline_embedder(corpus_cfg: CorpusConfig, cfg: PipelineConfig,
     topo = cfg.embedder_topology()
     windows, song_ids, offsets_ms = embedder_training_set(
         corpus_cfg, n_songs=n_songs, seed=cfg.seed, topo=topo)
-    hyper = emb_mod.EmbedderTrainConfig(steps=steps, seed=cfg.seed,
-                                        pos_tolerance_ms=300.0)
+    hyper = emb_mod.EmbedderTrainConfig(steps=steps, seed=cfg.seed)
     return emb_mod.train_embedder(windows, song_ids, offsets_ms, topo, hyper)
 
 
@@ -213,23 +211,23 @@ def build_database_from_corpus(corpus_cfg: CorpusConfig, weights: EmbedderWeight
 
 # ------------------------------------------------------------- recognition
 
-def recognize_frames(db: store_mod.Database, frames: np.ndarray, weights: EmbedderWeights,
-                     stats=None) -> MatchResult:
+def recognize_frames(db: store_mod.Database, frames: np.ndarray,
+                     weights: EmbedderWeights) -> MatchResult:
     """Match all phase hypotheses of these log-Mel frames in one pooled
     search; keep the highest-scoring phase (first on ties)."""
     phases = fingerprint_phases(frames, weights)
     if not phases:
         raise ValueError("audio shorter than one fingerprint window")
-    best = match_mod.recognize_phases(phases, db.index, db.spans, [db.radii], stats)[0]
+    best = match_mod.recognize_phases(phases, db.index, db.spans, [db.radii])[0]
     best.title = db.title_of(best.song_id)
     return best
 
 
 def recognize_pcm(db: store_mod.Database, pcm: PcmStream, weights: EmbedderWeights,
-                  cfg: PipelineConfig | None = None, stats=None) -> MatchResult:
+                  cfg: PipelineConfig | None = None) -> MatchResult:
     """recognize_frames on the audio's log-Mel frames. No setting of cfg
     affects recognition: the matcher's values are match-module constants."""
-    return recognize_frames(db, log_mel_frames(canonicalize(pcm)), weights, stats)
+    return recognize_frames(db, log_mel_frames(canonicalize(pcm)), weights)
 
 
 # ------------------------------------------------- continuous listening sim

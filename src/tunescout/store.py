@@ -224,6 +224,8 @@ def load_db(data: bytes, coverage: float = COVERAGE) -> Database:
     radii = np.frombuffer(sec(5), dtype="<f2").astype(np.float64)
     if pids.size and (pids.min() < 0 or pids.max() >= p):
         raise DbBoundsError("partition assignment out of range")
+    if sum(s.fp_count for s in songs) != n_fps:
+        raise DbBoundsError(f"song spans do not cover the code array of {n_fps} fingerprints")
     song_ids = np.empty(n_fps, dtype=np.int32)
     offsets = np.empty(n_fps, dtype=np.int32)
     pos = 0
@@ -233,8 +235,6 @@ def load_db(data: bytes, coverage: float = COVERAGE) -> Database:
         song_ids[pos : pos + s.fp_count] = s.song_id
         offsets[pos : pos + s.fp_count] = np.arange(s.fp_count)
         pos += s.fp_count
-    if pos != n_fps:
-        raise DbBoundsError("song spans do not cover the code array")
     idx = FingerprintIndex(
         PartitionerModel(centroids=centroids.copy()), PQCodebook(centroids=cb.copy()),
         codes.copy(), pids, song_ids, offsets, coverage=coverage,

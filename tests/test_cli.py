@@ -228,16 +228,17 @@ def test_recognize_bad_config_exits_two(workdir, tmp_path, capsys, config):
     ("cadence_s", 1.28),  # derived from the detector, not configured
 ], ids=["no_such_key", "cadence_s"])
 def test_stream_bad_gate_config_exits_two(workdir, tmp_path, capsys, key, value):
-    gate_path = tmp_path / "gate.json"
-    gate_path.write_text(json.dumps({"threshold": 0.5, key: value}))
+    cfg = json.loads(Path(workdir["cfg"]).read_text())
+    cfg["gate"].update({"threshold": 0.5, key: value})
+    cfg_path = tmp_path / "gate.json"
+    cfg_path.write_text(json.dumps(cfg))
     rc = cli.main(["stream", "--db", workdir["db"], "--weights", workdir["weights"],
                    "--detector-weights", str(tmp_path / "unused.npmd"),
-                   "--wav", str(tmp_path / "unused.wav"), "--config", workdir["cfg"],
-                   "--gate-config", str(gate_path)])
+                   "--wav", str(tmp_path / "unused.wav"), "--config", str(cfg_path)])
     err = capsys.readouterr().err
     assert rc == 2
     assert "Traceback" not in err
-    assert err.strip().splitlines() == [f"error: gate config: unknown keys ['{key}']"]
+    assert err.strip().splitlines() == [f"error: gate: unknown keys ['{key}']"]
 
 
 # ------------------------------------------------- the process's exit code

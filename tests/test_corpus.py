@@ -1,5 +1,8 @@
 """Synthetic corpus generator: determinism, SNR mixing, regions, labels."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,62 @@ def test_noise_kinds():
     for kind in ("white", "lowpass", "mix"):
         w = noise_audio(2.0, rng, kind=kind)
         assert len(w) == 32000 and np.isfinite(w).all()
+
+
+def _noise_reference(duration_s, rng, kind="mix"):
+    """noise_audio on whole arrays: the white noise is kept to the end, the
+    modulation is one full-length expression and the peak an |out| copy."""
+    n = int(duration_s * CANONICAL_RATE)
+    white = rng.normal(0, 1, n)
+
+    def one_pole(x, a, b):
+        k = min(len(x), max(8, int(math.log(1e-4) / math.log(a))))
+        return np.convolve(x, b * a ** np.arange(k))[: len(x)]
+
+    if kind == "white":
+        out = white
+    elif kind == "lowpass":
+        a = rng.uniform(0.9, 0.99)
+        out = one_pole(white, a, 1 - a)
+    else:
+        a = rng.uniform(0.85, 0.98)
+        out = one_pole(white, a, 1 - a)
+        mod_hz = rng.uniform(0.5, 4.0)
+        t = np.arange(n) / CANONICAL_RATE
+        out *= 0.4 + 0.6 * (0.5 + 0.5 * np.sin(2 * math.pi * mod_hz * t + rng.uniform(0, 6.28)))
+    peak = np.abs(out).max()
+    if peak > 0:
+        out = out / peak * 0.7
+    return out.astype(np.float32)
+
+
+@pytest.mark.parametrize("kind", ["white", "lowpass", "mix"])
+def test_noise_audio_equals_whole_array_formula(kind):
+    # 0.5 s is inside one modulation block, 4.096 s is exactly one, the
+    # others end in a partial block
+    for seed, duration_s in enumerate((0.5, 4.096, 4.0961875, 9.7, 37.3)):
+        got = noise_audio(duration_s, np.random.default_rng(seed), kind=kind)
+        ref = _noise_reference(duration_s, np.random.default_rng(seed), kind=kind)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_noise_audio_peak_memory_is_two_float64_copies():
+    duration_s = 60.0
+    full = int(duration_s * CANONICAL_RATE) * 8  # bytes of one float64 copy
+    bound = 2.25 * full  # the white noise and its filtered copy, plus blocks
+    peak = _traced_peak(lambda: noise_audio(duration_s, np.random.default_rng(0)))
+    assert peak < bound
+    # the whole-array formula holds about five copies at once
+    assert _traced_peak(lambda: _noise_reference(duration_s, np.random.default_rng(0))) > bound
 
 
 def test_lowpass_noise_has_less_high_frequency_energy():

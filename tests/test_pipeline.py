@@ -13,6 +13,7 @@ from tunescout.detector import DetectorTopology, GateConfig, GateEvent
 from tunescout.detector import init_weights as det_init
 from tunescout.embedder import fingerprint_stream
 from tunescout.embedder import init_weights as emb_init
+from tunescout.errors import ConfigError
 from tunescout.frontend import HOP_MS, HOP_S, PcmStream, log_mel_frames
 from tunescout.index import COVERAGE
 from tunescout.pipeline import (
@@ -58,6 +59,13 @@ def test_env_seed_overrides_json(monkeypatch):
     monkeypatch.setenv("TUNESCOUT_SEED", "123")
     cfg = PipelineConfig.from_json(PipelineConfig(seed=7).to_json())
     assert cfg.seed == 123
+
+
+@pytest.mark.parametrize("seed", ["abc", "1.5", ""])
+def test_env_seed_that_is_not_an_integer_is_a_config_error(monkeypatch, seed):
+    monkeypatch.setenv("TUNESCOUT_SEED", seed)
+    with pytest.raises(ConfigError, match="TUNESCOUT_SEED"):
+        PipelineConfig.from_json("{}")
 
 
 def test_config_validation():

@@ -112,6 +112,16 @@ def test_inconsistent_header_is_bounds_error(d, m, p, n_songs, n_fps):
         load_db(_packed(d, m, p, n_songs, n_fps, sections))
 
 
+def test_song_span_past_the_code_array_is_bounds_error():
+    # a CRC-valid file whose one song claims 700 fingerprints of the 600
+    d, m, p, n_fps = 16, 2, 4, 600
+    songs = struct.pack("<IHH", 0, 0, 0) + struct.pack("<fQI", 1.0, 0, 700)
+    sections = [songs, bytes(n_fps * m), bytes(n_fps * 2), bytes(p * d * 4),
+                bytes(m * 256 * (d // m) * 4), bytes(n_fps * 2)]
+    with pytest.raises(DbBoundsError, match="do not cover"):
+        load_db(_packed(d, m, p, 1, n_fps, sections))
+
+
 def test_truncation_is_bounds_error(blob):
     for cut in (10, len(blob) // 2, len(blob) - 5):
         with pytest.raises(DbBoundsError):
