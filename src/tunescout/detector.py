@@ -237,6 +237,12 @@ class GateConfig:
             raise ValueError("threshold must be in (0, 1)")
         if self.consecutive < 1:
             raise ValueError("consecutive must be >= 1")
+        if self.smoothing_window_s <= 0:
+            raise ValueError("smoothing_window_s must be > 0")
+        if self.refractory_s < 0:
+            raise ValueError("refractory_s must be >= 0")
+        if self.buffer_len_s <= 0:
+            raise ValueError("buffer_len_s must be > 0")
 
 
 @dataclass

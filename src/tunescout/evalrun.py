@@ -11,9 +11,8 @@ from .corpus import CorpusConfig, MusicRegion, QuerySpec
 from .detector import DetectorTopology, DetectorWeights, GateConfig, smooth_and_gate, streaming_predictions
 from .embedder import EmbedderWeights
 from .frontend import HOP_S, log_mel_frames
-from .index import SearchStats
-from .match import recognize_phases
-from .pipeline import fingerprint_phases
+from .pipeline import recognize_frames
+from .store import Database
 
 PR_THRESHOLDS = np.round(np.linspace(0.0, 1.0, 51), 3)  # score thresholds of pr_rows
 GATE_THRESHOLDS = np.round(np.linspace(0.02, 0.98, 25), 3)  # gate thresholds of detector_sweep
@@ -34,21 +33,20 @@ class QueryOutcome:
         return self.spec.kind == "music"
 
 
-def run_queries(db, specs: list[QuerySpec], corpus_cfg: CorpusConfig,
-                weights: EmbedderWeights, holdout_cfg: CorpusConfig | None = None,
-                stats: SearchStats | None = None) -> list[QueryOutcome]:
-    """Match every query with both scorers over identical candidate sets.
-
-    Each query is fingerprinted and searched once; every candidate is scored
-    under db's adaptive radii and under unit radii (the naive fixed-radius
-    kernel). A best score of 0 counts as no answer (song -1).
+def run_queries(db: Database, specs: list[QuerySpec], corpus_cfg: CorpusConfig,
+                weights: EmbedderWeights,
+                holdout_cfg: CorpusConfig | None = None) -> list[QueryOutcome]:
+    """Match every query with the product recognizer on db (adaptive) and on
+    a copy of db whose radii are all 1 (the naive fixed-radius kernel
+    exp(-||q - x~||^2)). A best score of 0 counts as no answer (song -1).
     """
-    radii_sets = [db.radii, np.ones(db.index.n_points)]
+    naive = Database(db.songs, db.index, np.ones(db.index.n_points))
     outcomes = []
     for spec in specs:
         wave = corpus_mod.query_audio(corpus_cfg, spec, holdout_cfg)
-        phases = fingerprint_phases(log_mel_frames(corpus_mod.to_pcm(wave)), weights)
-        a, n = recognize_phases(phases, db.index, db.spans, radii_sets, stats)
+        frames = log_mel_frames(corpus_mod.to_pcm(wave))
+        a = recognize_frames(db, frames, weights)
+        n = recognize_frames(naive, frames, weights)
         outcomes.append(QueryOutcome(
             spec,
             a.song_id if a.score > 0 else -1, a.score, a.offset_s if a.score > 0 else -1,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .index import FingerprintIndex, SearchHit, SearchStats
+from .index import FingerprintIndex, SearchHit
 
 # The recognizer's operating point belongs to the shipped model and DB.
 TOP_K = 20  # ANN hits per query step
@@ -96,16 +96,15 @@ def local_density(points: np.ndarray, song_ids: np.ndarray, offsets: np.ndarray,
 
 def score_candidates(query_fps: np.ndarray, candidates: list[SequenceCandidate],
                      idx: FingerprintIndex, spans: dict[int, tuple[int, int]],
-                     radii_sets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Scores of every candidate under each radii array, with one decode of
-    all aligned fingerprints.
+                     radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of every candidate, with one decode of all aligned fingerprints.
 
     A candidate's score is the mean per-step similarity
     exp(-||q - x~||^2 / r^2) over all query steps; steps whose alignment
     falls outside the song contribute 0, so missing evidence penalizes the
     score. Unit radii give the fixed-radius baseline exp(-||q - x~||^2).
-    Returns (scores (len(radii_sets), C), aligned (C,)); a candidate with
-    no step inside its song is not aligned and scores 0.
+    Returns (scores (C,), aligned (C,)); a candidate with no step inside its
+    song is not aligned and scores 0.
     """
     t = len(query_fps)
     start, count = np.array([spans[c.song_id] for c in candidates], dtype=np.int64).reshape(-1, 2).T
@@ -113,23 +112,20 @@ def score_candidates(query_fps: np.ndarray, candidates: list[SequenceCandidate],
     valid = (off >= 0) & (off < count[:, None])
     g = (start[:, None] + off)[valid]
     d2 = ((query_fps[np.nonzero(valid)[1]] - idx.decode(g)) ** 2).sum(axis=1)
-    scores = np.zeros((len(radii_sets), len(candidates)))
-    for out, radii in zip(scores, radii_sets):
-        r = radii[g]
-        sims = np.zeros(valid.shape)
-        sims[valid] = np.exp(-d2 / (r * r))
-        out[:] = sims.mean(axis=1)
-    return scores, valid.any(axis=1)
+    r = radii[g]
+    sims = np.zeros(valid.shape)
+    sims[valid] = np.exp(-d2 / (r * r))
+    return sims.mean(axis=1), valid.any(axis=1)
 
 
 def score_sequence(query_fps: np.ndarray, candidate: SequenceCandidate,
                    idx: FingerprintIndex, spans: dict[int, tuple[int, int]],
                    radii: np.ndarray) -> float:
     """One candidate's score (see score_candidates). Raises if no step aligns."""
-    scores, aligned = score_candidates(query_fps, [candidate], idx, spans, [radii])
+    scores, aligned = score_candidates(query_fps, [candidate], idx, spans, radii)
     if not aligned[0]:
         raise ValueError("candidate alignment fully outside song bounds")
-    return float(scores[0, 0])
+    return float(scores[0])
 
 
 def adaptive_accept(scored: list[MatchResult], theta_abs: float = THETA_ABS,
@@ -150,32 +146,29 @@ def adaptive_accept(scored: list[MatchResult], theta_abs: float = THETA_ABS,
 
 
 def recognize_phases(phases: list[np.ndarray], idx: FingerprintIndex,
-                     spans: dict[int, tuple[int, int]], radii_sets: list[np.ndarray],
-                     stats: SearchStats | None = None) -> list[MatchResult]:
+                     spans: dict[int, tuple[int, int]], radii: np.ndarray) -> MatchResult:
     """Full two-stage match of a query's phase hypotheses.
 
     One search_batch over every phase's fingerprints, then per phase
-    candidate voting, sequence scoring under each radii array and adaptive
-    acceptance. Returns, per radii array, the highest-scoring phase's result
-    (the first phase on ties).
+    candidate voting, sequence scoring and adaptive acceptance. Returns the
+    highest-scoring phase's result (the first phase on ties).
     """
     phases = [np.atleast_2d(np.asarray(f, dtype=np.float32)) for f in phases]
     if not phases or any(len(f) == 0 for f in phases):
         raise ValueError("need at least one query fingerprint")
-    hits = idx.search_batch(np.concatenate(phases), TOP_K, stats=stats)
-    best: list[MatchResult | None] = [None] * len(radii_sets)
+    hits = idx.search_batch(np.concatenate(phases), TOP_K)
+    best = None
     pos = 0
     for fps in phases:
         candidates = collect_candidates(hits[pos : pos + len(fps)])
         pos += len(fps)
-        scores, aligned = score_candidates(fps, candidates, idx, spans, radii_sets)
-        for i, row in enumerate(scores):
-            scored = [MatchResult(song_id=c.song_id, offset_s=c.start_offset, score=float(s),
-                                  accepted=False, runner_up_score=0.0)
-                      for c, s, ok in zip(candidates, row, aligned) if ok]
-            result = adaptive_accept(scored)
-            if best[i] is None or result.score > best[i].score:
-                best[i] = result
+        scores, aligned = score_candidates(fps, candidates, idx, spans, radii)
+        result = adaptive_accept([
+            MatchResult(song_id=c.song_id, offset_s=c.start_offset, score=float(s),
+                        accepted=False, runner_up_score=0.0)
+            for c, s, ok in zip(candidates, scores, aligned) if ok])
+        if best is None or result.score > best.score:
+            best = result
     return best
 
 
@@ -183,4 +176,4 @@ def recognize(query_fps: np.ndarray, idx: FingerprintIndex,
               spans: dict[int, tuple[int, int]], radii: np.ndarray) -> MatchResult:
     """Full two-stage match of one fingerprint sequence: per-step ANN
     search, candidate voting, sequence scoring, adaptive acceptance."""
-    return recognize_phases([query_fps], idx, spans, [radii])[0]
+    return recognize_phases([query_fps], idx, spans, radii)

@@ -35,17 +35,10 @@ def relu_bwd(x, dy):
     return np.where(x > 0, dy, 0.0)
 
 
-def elu(x, alpha=1.0):
-    # the same values as np.where(x > 0, x, alpha * expm1(x)), which is
-    # several times slower on float32 data with a mixed sign pattern
-    y = np.expm1(np.minimum(x, 0))
-    y *= alpha
-    y += np.maximum(x, 0)
-    return y
-
-
 def elu_inplace(x):
-    """elu(x) with alpha = 1, written into x: the same values."""
+    """ELU written into x: max(x, 0) + expm1(min(x, 0)), the same values as
+    np.where(x > 0, x, expm1(x)), which is several times slower on float32
+    data with a mixed sign pattern."""
     neg = np.minimum(x, 0)
     np.expm1(neg, out=neg)
     np.maximum(x, 0, out=x)
@@ -53,8 +46,12 @@ def elu_inplace(x):
     return x
 
 
-def elu_bwd(x, dy, alpha=1.0):
-    return np.where(x > 0, dy, dy * alpha * np.exp(x))
+def elu(x):
+    return elu_inplace(x.copy())
+
+
+def elu_bwd(x, dy):
+    return np.where(x > 0, dy, dy * np.exp(x))
 
 
 def sigmoid(x):

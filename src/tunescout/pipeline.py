@@ -36,6 +36,10 @@ class IndexConfig:
     # not a field: every search probes this share of the DB; M is dim // 8
     coverage: ClassVar[float] = index_mod.COVERAGE
 
+    def __post_init__(self):
+        if self.partitions is not None and self.partitions < 1:
+            raise ValueError("partitions must be >= 1")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -156,7 +160,6 @@ def embedder_training_set(cfg: CorpusConfig, n_songs: int | None = None,
     n_songs = min(n_songs or cfg.n_songs, cfg.n_songs)
     rng = np.random.default_rng([cfg.seed, 555, seed])
     windows, song_ids, offsets_ms = [], [], []
-    fps_hop = 1000 // HOP_MS  # frames per second
     for song in range(n_songs):
         wave = corpus_mod.song_audio(cfg, song)
         versions = [wave]
@@ -164,7 +167,7 @@ def embedder_training_set(cfg: CorpusConfig, n_songs: int | None = None,
             noise = corpus_mod.noise_audio(len(wave) / cfg.sample_rate, rng)
             versions.append(corpus_mod.mix_at_snr(wave, noise, float(rng.choice(SNRS_DB))))
         feats = [log_mel_frames(to_pcm(v)) for v in versions]
-        max_start = feats[0].shape[0] - topo.frames - fps_hop
+        max_start = feats[0].shape[0] - topo.frames - topo.hop_frames
         if max_start <= 0:
             continue
         starts = rng.choice(max_start, size=min(offsets_per_song, max_start), replace=False)
@@ -218,7 +221,7 @@ def recognize_frames(db: store_mod.Database, frames: np.ndarray,
     phases = fingerprint_phases(frames, weights)
     if not phases:
         raise ValueError("audio shorter than one fingerprint window")
-    best = match_mod.recognize_phases(phases, db.index, db.spans, [db.radii])[0]
+    best = match_mod.recognize_phases(phases, db.index, db.spans, db.radii)
     best.title = db.title_of(best.song_id)
     return best
 

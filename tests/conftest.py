@@ -30,7 +30,6 @@ from tunescout import evalrun
 from tunescout.corpus import CorpusConfig, MusicRegion, ambient_audio, detector_clips, make_queries, to_pcm
 from tunescout.detector import DetectorTrainConfig, train_detector
 from tunescout.frontend import log_mel_frames
-from tunescout.index import SearchStats
 from tunescout.pipeline import (
     PipelineConfig,
     build_database_from_corpus,
@@ -61,13 +60,11 @@ def desk():
     db = build_database_from_corpus(corpus_cfg, weights, cfg)
     specs = make_queries(corpus_cfg, 800, n_noise=100, n_holdout=100,
                          holdout_cfg=holdout_cfg)
-    stats = SearchStats()
-    outcomes = evalrun.run_queries(db, specs, corpus_cfg, weights,
-                                   holdout_cfg=holdout_cfg, stats=stats)
+    outcomes = evalrun.run_queries(db, specs, corpus_cfg, weights, holdout_cfg=holdout_cfg)
     return {
         "cfg": cfg, "corpus_cfg": corpus_cfg, "holdout_cfg": holdout_cfg,
         "weights": weights, "db": db, "specs": specs,
-        "outcomes": outcomes, "stats": stats,
+        "outcomes": outcomes,
         "elapsed_s": time.perf_counter() - t0,
     }
 

@@ -210,6 +210,7 @@ def test_eval_detector_csv(workdir, trained_detector, tmp_path, capsys):
     {"matcher": {"top_k": 20}},                      # the matcher is fixed
     {"index": {"coverage": 0.02}},                   # so is the probed share
     {"index": {"subspaces": 12}},                    # and M = dim // 8
+    {"index": {"partitions": 0}},                    # fewer than one partition
 ])
 def test_recognize_bad_config_exits_two(workdir, tmp_path, capsys, config):
     cfg_path = tmp_path / "bad.json"
@@ -223,11 +224,14 @@ def test_recognize_bad_config_exits_two(workdir, tmp_path, capsys, config):
     assert err.strip().splitlines()[-1].startswith("error: ")
 
 
-@pytest.mark.parametrize("key, value", [
-    ("no_such_key", 1),
-    ("cadence_s", 1.28),  # derived from the detector, not configured
-], ids=["no_such_key", "cadence_s"])
-def test_stream_bad_gate_config_exits_two(workdir, tmp_path, capsys, key, value):
+@pytest.mark.parametrize("key, value, message", [
+    ("no_such_key", 1, "gate: unknown keys ['no_such_key']"),
+    ("cadence_s", 1.28, "gate: unknown keys ['cadence_s']"),  # derived from the detector
+    ("buffer_len_s", -8, "buffer_len_s must be > 0"),
+    ("smoothing_window_s", 0, "smoothing_window_s must be > 0"),
+    ("refractory_s", -1, "refractory_s must be >= 0"),
+], ids=["no_such_key", "cadence_s", "buffer_len_s", "smoothing_window_s", "refractory_s"])
+def test_stream_bad_gate_config_exits_two(workdir, tmp_path, capsys, key, value, message):
     cfg = json.loads(Path(workdir["cfg"]).read_text())
     cfg["gate"].update({"threshold": 0.5, key: value})
     cfg_path = tmp_path / "gate.json"
@@ -238,7 +242,7 @@ def test_stream_bad_gate_config_exits_two(workdir, tmp_path, capsys, key, value)
     err = capsys.readouterr().err
     assert rc == 2
     assert "Traceback" not in err
-    assert err.strip().splitlines() == [f"error: gate: unknown keys ['{key}']"]
+    assert err.strip().splitlines() == [f"error: {message}"]
 
 
 # ------------------------------------------------- the process's exit code

@@ -280,6 +280,12 @@ def test_gate_config_validation():
         GateConfig(threshold=0.0)
     with pytest.raises(ValueError):
         GateConfig(consecutive=0)
+    for bad in ({"buffer_len_s": -8.0}, {"buffer_len_s": 0.0},
+                {"smoothing_window_s": 0.0}, {"smoothing_window_s": -4.0},
+                {"refractory_s": -1.0}):
+        with pytest.raises(ValueError):
+            GateConfig(**bad)
+    GateConfig(refractory_s=0.0)  # no refractory period is a valid gate
 
 
 @settings(deadline=None, max_examples=30)

@@ -225,12 +225,11 @@ def test_batched_scores_equal_per_candidate_reference(small_db):
              SequenceCandidate(3, 25, 1), SequenceCandidate(7, 0, 2),   # runs past its end
              SequenceCandidate(9, 29, 1), SequenceCandidate(2, 500, 1),
              SequenceCandidate(0, -10, 1)]                              # the last two: fully outside
-    radii_sets = [radii, np.ones(idx.n_points), rng.uniform(0.2, 2.0, idx.n_points)]
-    scores, aligned = score_candidates(q, cands, idx, spans, radii_sets)
-    assert scores.shape == (3, len(cands))
-    assert aligned.tolist() == [True] * 5 + [False] * 2
-    for c, ok, col in zip(cands, aligned, scores.T):
-        for r, s in zip(radii_sets, col):
+    for r in (radii, np.ones(idx.n_points), rng.uniform(0.2, 2.0, idx.n_points)):
+        scores, aligned = score_candidates(q, cands, idx, spans, r)
+        assert scores.shape == (len(cands),)
+        assert aligned.tolist() == [True] * 5 + [False] * 2
+        for c, ok, s in zip(cands, aligned, scores):
             if not ok:
                 assert s == 0.0
                 with pytest.raises(ValueError):
@@ -269,12 +268,13 @@ def test_pooled_phases_equal_per_phase_loop(small_db):
         phases = [(seq + noise * rng.standard_normal(seq.shape)).astype(np.float32)
                   for _ in range(4)]
         phases[3] = phases[3][:-2]  # the last phase is shorter, as in a real query
-        got = recognize_phases(phases, idx, spans, [radii, unit])
-        for r, result in zip((radii, unit), got):
-            assert result.to_dict() == _recognize_reference(phases, idx, spans, r).to_dict()
+        for r in (radii, unit):
+            got = recognize_phases(phases, idx, spans, r)
+            assert got.to_dict() == _recognize_reference(phases, idx, spans, r).to_dict()
     # two phases that both score exactly 1: the first one is kept
     tied = [idx.decode(np.arange(6 * 30 + 2, 6 * 30 + 10)), idx.decode(np.arange(30 + 10, 30 + 18))]
-    for result in recognize_phases(tied, idx, spans, [radii, unit]):
+    for r in (radii, unit):
+        result = recognize_phases(tied, idx, spans, r)
         assert (result.song_id, result.offset_s, result.score) == (6, 2, 1.0)
 
 

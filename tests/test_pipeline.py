@@ -73,6 +73,9 @@ def test_config_validation():
         PipelineConfig(dim=100)  # not divisible by the branch count
     with pytest.raises(ValueError):
         PipelineConfig(embedder_preset="huge")
+    for partitions in (0, -3):  # None, not 0, asks for the default count
+        with pytest.raises(ValueError, match="partitions"):
+            IndexConfig(partitions=partitions)
 
 
 def test_fingerprint_count_matches_window_arithmetic():
