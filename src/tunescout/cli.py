@@ -58,7 +58,7 @@ def cmd_gen_corpus(args) -> int:
         path = out / "songs" / f"song_{song:04d}.wav"
         path.write_bytes(encode_wav(corpus_mod.to_pcm(wave)))
         manifest.append({"type": "song", "song_id": song, "file": str(path.relative_to(out)),
-                         "title": f"synthetic song {song:04d}", "duration_s": cfg.duration_s})
+                         "title": corpus_mod.song_title(song), "duration_s": cfg.duration_s})
     specs = corpus_mod.make_queries(cfg, args.queries, query_len_s=args.query_len_s,
                                     n_noise=args.noise_queries,
                                     n_holdout=args.holdout_queries, holdout_cfg=holdout_cfg)
@@ -110,8 +110,8 @@ def cmd_train(args) -> int:
         dw = det_mod.train_detector(feats, labels,
                                     hyper=det_mod.DetectorTrainConfig(steps=args.steps, seed=cfg.seed))
         (out / "detector.npmd").write_bytes(weights_io.save_detector(dw))
-        q = det_mod.quantize_weights(dw)
-        (out / "detector_q8.npmd").write_bytes(weights_io.save_detector(q, quantize=True))
+        (out / "detector_q8.npmd").write_bytes(
+            weights_io.save_detector(det_mod.fold_batchnorm(dw), quantize=True))
         _log(f"wrote {out / 'detector.npmd'} and quantized form")
     return 0
 
@@ -190,20 +190,17 @@ def cmd_eval_detector(args) -> int:
     length_s = args.length_s
     regions = []
     pos = 60.0
-    i = 0
     while pos + 40.0 < length_s:
         dur = float(rng.uniform(16.0, 40.0))
         regions.append(MusicRegion(start_s=pos, duration_s=dur,
-                                   song_id=i % corpus_cfg.n_songs,
+                                   song_id=len(regions) % corpus_cfg.n_songs,
                                    snr_db=float(rng.choice(corpus_mod.SNRS_DB))))
         pos += dur + float(rng.uniform(120.0, 200.0))
-        i += 1
     wave = corpus_mod.ambient_audio(length_s, regions, corpus_cfg, seed=cfg.seed)
-    probs, times = evalrun.detector_prediction_stream(wave, det)
+    probs = evalrun.detector_prediction_stream(wave, det)
     gate = replace(cfg.gate, refractory_s=args.refractory_s)
     print("threshold,consecutive,recall,fp_per_hour")
-    for row in evalrun.detector_sweep(probs, times, regions, gate, length_s,
-                                      cadence_s=det.topology.cadence_s):
+    for row in evalrun.detector_sweep(probs, det.topology, regions, gate, length_s):
         print(f"{row['threshold']},{row['consecutive']},{row['recall']:.4f},"
               f"{row['fp_per_hour']:.4f}")
     return 0

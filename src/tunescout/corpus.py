@@ -17,7 +17,7 @@ from .frontend import CANONICAL_RATE, PcmStream
 # the SNRs (dB) that music is mixed with noise at: queries, the embedder's
 # noisy training copies, detector clips and the ambient regions of eval-detector
 SNRS_DB = (20.0, 10.0, 5.0)
-_MOD_BLOCK = 1 << 16  # samples per block of noise_audio's amplitude modulation
+_MOD_BLOCK = 1 << 16  # samples per block of noise_audio's filter and amplitude modulation
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,10 @@ class CorpusConfig:
 
 def _song_rng(cfg: CorpusConfig, song_id: int) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, 1000003, song_id])
+
+
+def song_title(song_id: int) -> str:
+    return f"synthetic song {song_id:04d}"
 
 
 def song_audio(cfg: CorpusConfig, song_id: int) -> np.ndarray:
@@ -71,13 +75,13 @@ def noise_audio(duration_s: float, rng: np.random.Generator, kind: str = "mix") 
     """Synthetic ambient noise at CANONICAL_RATE: white, low-passed, or
     amplitude-modulated."""
     n = int(duration_s * CANONICAL_RATE)
-    out = rng.normal(0, 1, n)  # white; rebinding out frees it once filtered
+    out = rng.normal(0, 1, n)  # white, then filtered in place
     if kind == "lowpass":
         a = rng.uniform(0.9, 0.99)
-        out = _one_pole(out, a, 1 - a)
+        _one_pole(out, a, 1 - a)
     elif kind != "white":  # "mix": low-passed noise with slow amplitude modulation
         a = rng.uniform(0.85, 0.98)
-        out = _one_pole(out, a, 1 - a)
+        _one_pole(out, a, 1 - a)
         mod_hz = rng.uniform(0.5, 4.0)
         phase = rng.uniform(0, 6.28)
         for s in range(0, n, _MOD_BLOCK):
@@ -91,10 +95,15 @@ def noise_audio(duration_s: float, rng: np.random.Generator, kind: str = "mix") 
 
 
 def _one_pole(x, a, b):
-    # y[t] = a*y[t-1] + b*x[t], evaluated via an FIR truncation of the IIR
+    # in place, y[t] = a*y[t-1] + b*x[t] via a k-tap FIR truncation of the IIR,
+    # in blocks that carry the last k - 1 inputs: the whole-array convolution's sums
     k = min(len(x), max(8, int(math.log(1e-4) / math.log(a))))
     kernel = b * a ** np.arange(k)
-    return np.convolve(x, kernel)[: len(x)]
+    carry = x[:0].copy()
+    for s in range(0, len(x), _MOD_BLOCK):
+        block = np.concatenate([carry, x[s : s + _MOD_BLOCK]])
+        x[s : s + _MOD_BLOCK] = np.convolve(block, kernel)[len(carry) : len(block)]
+        carry = block[len(block) - (k - 1) :]
 
 
 def mix_at_snr(signal: np.ndarray, noise: np.ndarray, snr_db: float) -> np.ndarray:

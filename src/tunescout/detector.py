@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import nnops
-from .frontend import HOP_S
+from .frontend import HOP_S, MEL_BINS
 from .nnops import (
     Adam,
     batchnorm,
@@ -28,13 +28,12 @@ from .nnops import (
     relu_bwd,
     sigmoid,
 )
-from .weights_io import dequantize_tensor, quantize_tensor
 
 
 @dataclass(frozen=True)
 class DetectorTopology:
     input_frames: int = 446
-    channels: int = 32
+    channels: int = MEL_BINS
     kernel: int = 4
     stride: int = 2
     n_layers: int = 6
@@ -61,6 +60,10 @@ class DetectorTopology:
         """Seconds between streaming predictions."""
         return self.cadence_frames * HOP_S
 
+    def emission_frame(self, j: int) -> int:
+        """Frame count at which the streaming detector emits prediction j."""
+        return self.input_frames + j * self.cadence_frames
+
     def parameter_count(self) -> int:
         """Trainable weights: all but the batch-norm running statistics."""
         return sum(math.prod(shape) for name, shape in tensor_shapes(self).items()
@@ -71,7 +74,6 @@ class DetectorTopology:
 class DetectorWeights:
     topology: DetectorTopology
     tensors: dict[str, np.ndarray]
-    quantized: bool = False
 
 
 def tensor_shapes(topo: DetectorTopology) -> dict[str, tuple[int, ...]]:
@@ -199,14 +201,10 @@ class StreamingDetector:
 
 
 def streaming_predictions(frames: np.ndarray, w: DetectorWeights) -> list[tuple[int, float]]:
-    """Run the streaming detector over a frame sequence in one push.
-
-    Returns (frame_count_at_emission, probability) pairs; emissions occur at
-    frame counts input_frames + cadence*k.
-    """
-    topo = w.topology
+    """Run the streaming detector over a frame sequence in one push: a
+    (topology.emission_frame(j), probability) pair per prediction j."""
     probs = StreamingDetector(w).push(frames)
-    return [(topo.input_frames + j * topo.cadence_frames, float(p)) for j, p in enumerate(probs)]
+    return [(w.topology.emission_frame(j), float(p)) for j, p in enumerate(probs)]
 
 
 def batch_predictions(frames: np.ndarray, w: DetectorWeights) -> list[tuple[int, float]]:
@@ -214,10 +212,10 @@ def batch_predictions(frames: np.ndarray, w: DetectorWeights) -> list[tuple[int,
     window at the streaming cadence in one forward pass."""
     topo = w.topology
     n = frames.shape[0]
-    ends = range(topo.input_frames, n + 1, topo.cadence_frames)
-    windows = np.stack([frames[e - topo.input_frames : e] for e in ends]) if n >= topo.input_frames else None
-    if windows is None:
+    if n < topo.input_frames:
         return []
+    ends = range(topo.input_frames, n + 1, topo.cadence_frames)
+    windows = np.stack([frames[e - topo.input_frames : e] for e in ends])
     logits, _ = forward_batch(windows.astype(np.float32), w, train=False)
     return [(e, float(p)) for e, p in zip(ends, sigmoid(logits))]
 
@@ -252,19 +250,18 @@ class GateEvent:
     mean_confidence: float
 
 
-def smooth_and_gate(predictions, cfg: GateConfig, start_time_s: float = 0.0,
-                    cadence_s: float = DetectorTopology().cadence_s) -> list[GateEvent]:
+def smooth_and_gate(predictions, cfg: GateConfig, topo: DetectorTopology) -> list[GateEvent]:
     """Sliding-mean smoothing plus c-consecutive-over-threshold triggering.
 
-    Prediction i is timestamped start_time_s + i*cadence_s, cadence_s being
-    the prediction interval of the detector that made them. After an event
-    the gate is suppressed for refractory_s (measured fire to fire).
+    predictions are the probabilities a detector of topology topo emitted, in
+    order; prediction i is timestamped input_frames * HOP_S + i * cadence_s.
+    After an event the gate is suppressed for refractory_s (fire to fire).
 
     Smoothed value i is the mean of predictions max(0, i - win + 1) .. i,
     all computed in one pass: prefix sums for the first win - 1, window
     sums for the rest.
     """
-    win = max(1, int(round(cfg.smoothing_window_s / cadence_s)))
+    win = max(1, int(round(cfg.smoothing_window_s / topo.cadence_s)))
     p = np.asarray(list(predictions), dtype=np.float64)
     n = len(p)
     smoothed = np.empty(n)
@@ -278,14 +275,15 @@ def smooth_and_gate(predictions, cfg: GateConfig, start_time_s: float = 0.0,
     events: list[GateEvent] = []
     last_fire = -math.inf
     for i in np.flatnonzero(run >= cfg.consecutive).tolist():
-        t = start_time_s + i * cadence_s
+        # emission_frame(i) * HOP_S would differ from this time in the last bit
+        t = topo.input_frames * HOP_S + i * topo.cadence_s
         if t - last_fire >= cfg.refractory_s:
             events.append(GateEvent(index=i, time_s=t, mean_confidence=float(smoothed[i])))
             last_fire = t
     return events
 
 
-# ---------------------------------------------------------- quantization
+# ------------------------------------------------------ batch-norm fold
 
 def fold_batchnorm(w: DetectorWeights) -> DetectorWeights:
     """Fold batch-norm scale/shift/stats into the pointwise weights and bias."""
@@ -298,20 +296,6 @@ def fold_batchnorm(w: DetectorWeights) -> DetectorWeights:
         t[f"conv{i}_pw"], t[f"conv{i}_b"] = nnops.fold_bn(
             t[f"conv{i}_pw"], t[f"conv{i}_b"], *bn)
     return DetectorWeights(topology=replace(topo, batch_norm=False), tensors=t)
-
-
-def quantize_weights(w: DetectorWeights) -> DetectorWeights:
-    """8-bit weights, dequantized back to float for inference.
-
-    Round-trip error is within one quantization step per element. Batch norm
-    is folded first so the stored model matches the deployment layout.
-    """
-    src = fold_batchnorm(w)
-    t = {}
-    for name, x in src.tensors.items():
-        q, scale, zero = quantize_tensor(x)
-        t[name] = dequantize_tensor(q, scale, zero).reshape(x.shape)
-    return DetectorWeights(topology=src.topology, tensors=t, quantized=True)
 
 
 # -------------------------------------------------------------- training

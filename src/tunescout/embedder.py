@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .frontend import MEL_BINS
 from .nnops import (
     Adam,
     batchnorm,
@@ -33,7 +34,7 @@ POS_TOLERANCE_MS = 300.0  # same-song windows whose starts differ by less are po
 @dataclass(frozen=True)
 class EmbedderTopology:
     frames: int = 96
-    mel_bins: int = 32
+    mel_bins: int = MEL_BINS
     conv_channels: tuple = (32, 64, 64, 128)
     kernel: int = 3
     stride: int = 2

@@ -10,7 +10,7 @@ from . import corpus as corpus_mod
 from .corpus import CorpusConfig, MusicRegion, QuerySpec
 from .detector import DetectorTopology, DetectorWeights, GateConfig, smooth_and_gate, streaming_predictions
 from .embedder import EmbedderWeights
-from .frontend import HOP_S, log_mel_frames
+from .frontend import log_mel_frames
 from .pipeline import recognize_frames
 from .store import Database
 
@@ -86,19 +86,17 @@ def precision_at_recall(rows: list[dict], target_recall: float) -> float:
 
 # --------------------------------------------------------- detector sweeps
 
-def detector_prediction_stream(wave: np.ndarray, det: DetectorWeights):
-    """The streaming detector's predictions plus their timestamps in seconds."""
+def detector_prediction_stream(wave: np.ndarray, det: DetectorWeights) -> np.ndarray:
+    """The streaming detector's probabilities over a waveform, in emission order."""
     preds = streaming_predictions(log_mel_frames(corpus_mod.to_pcm(wave)), det)
-    return np.array([p for _, p in preds]), np.array([e * HOP_S for e, _ in preds])
+    return np.array([p for _, p in preds])
 
 
-def gate_region_metrics(probs: np.ndarray, times: np.ndarray,
-                        regions: list[MusicRegion], gate: GateConfig, total_s: float,
-                        cadence_s: float = DetectorTopology().cadence_s) -> dict:
+def gate_region_metrics(probs: np.ndarray, topo: DetectorTopology, regions: list[MusicRegion],
+                        gate: GateConfig, total_s: float) -> dict:
     """Recall over music regions and false positives per hour outside them;
-    cadence_s is the prediction interval of the detector behind probs."""
-    events = smooth_and_gate(probs, gate, start_time_s=float(times[0]) if len(times) else 0.0,
-                             cadence_s=cadence_s)
+    topo is the topology of the detector behind probs."""
+    events = smooth_and_gate(probs, gate, topo)
     hit = [False] * len(regions)
     fp = 0
     for ev in events:
@@ -119,13 +117,12 @@ def gate_region_metrics(probs: np.ndarray, times: np.ndarray,
     }
 
 
-def detector_sweep(probs: np.ndarray, times: np.ndarray, regions: list[MusicRegion],
-                   gate: GateConfig, total_s: float,
-                   cadence_s: float = DetectorTopology().cadence_s) -> list[dict]:
+def detector_sweep(probs: np.ndarray, topo: DetectorTopology, regions: list[MusicRegion],
+                   gate: GateConfig, total_s: float) -> list[dict]:
     rows = []
     for th in GATE_THRESHOLDS:
         g = replace(gate, threshold=float(th))
-        m = gate_region_metrics(probs, times, regions, g, total_s, cadence_s=cadence_s)
+        m = gate_region_metrics(probs, topo, regions, g, total_s)
         rows.append({"threshold": float(th), "consecutive": gate.consecutive,
                      "recall": m["recall"], "fp_per_hour": m["fp_per_hour"]})
     return rows

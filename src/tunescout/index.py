@@ -15,6 +15,7 @@ import numpy as np
 from . import kernels
 
 MIN_SCAN_POINTS = 256  # a search scans at least this many points (or all)
+PQ_CENTROIDS = 256  # codewords per PQ subspace: one uint8 code each
 COVERAGE = 0.02  # a search probes partitions until they hold this share of the DB
 PQ_MAX_TRAIN = 65536  # train_pq fits its codebooks on a sample of at most this many points
 
@@ -97,7 +98,7 @@ class PartitionerModel:
 
 @dataclass
 class PQCodebook:
-    centroids: np.ndarray  # (M, 256, d/M) float32
+    centroids: np.ndarray  # (M, PQ_CENTROIDS, d/M) float32
 
     @property
     def n_subspaces(self) -> int:
@@ -114,12 +115,14 @@ def default_partition_count(n: int) -> int:
 
 def train_partitioner(data: np.ndarray, p: int, seed: int = 0, iters: int = 15) -> PartitionerModel:
     """k-means partitioner over fingerprints (deterministic given seed)."""
+    if p < 1:
+        raise ValueError(f"need at least one partition, got {p}")
     centroids, _, _, _ = kmeans(data, p, seed=seed, iters=iters)
     return PartitionerModel(centroids=centroids.astype(np.float32))
 
 
 def train_pq(data: np.ndarray, m: int, seed: int = 0, iters: int = 15) -> tuple[PQCodebook, float]:
-    """Independent 256-centroid k-means per subspace slice.
+    """Independent PQ_CENTROIDS-centroid k-means per subspace slice.
 
     data should already be residuals (fingerprint minus partition centroid).
     Returns the codebook and the mean quantization error ||x - x~|| over the
@@ -129,25 +132,25 @@ def train_pq(data: np.ndarray, m: int, seed: int = 0, iters: int = 15) -> tuple[
     d = data.shape[1]
     if d % m != 0:
         raise ValueError(f"dimension {d} not divisible by {m} subspaces")
-    if data.shape[0] < 256:
-        raise ValueError(f"need at least 256 training points, got {data.shape[0]}")
+    if data.shape[0] < PQ_CENTROIDS:
+        raise ValueError(f"need at least {PQ_CENTROIDS} training points, got {data.shape[0]}")
     rng = np.random.default_rng(seed)
     if data.shape[0] > PQ_MAX_TRAIN:
         data = data[rng.choice(data.shape[0], size=PQ_MAX_TRAIN, replace=False)]
     sub = d // m
-    cents = np.empty((m, 256, sub), dtype=np.float32)
+    cents = np.empty((m, PQ_CENTROIDS, sub), dtype=np.float32)
     err2 = np.zeros(data.shape[0])
     for j in range(m):
         sl = data[:, j * sub : (j + 1) * sub]
         uniq = np.unique(sl, axis=0)
-        if len(uniq) <= 256:
+        if len(uniq) <= PQ_CENTROIDS:
             # fewer distinct points than centroids: place centroids on them
-            c = np.zeros((256, sub))
+            c = np.zeros((PQ_CENTROIDS, sub))
             c[: len(uniq)] = uniq
             c[len(uniq) :] = uniq[0]
             _, d2 = kernels.assign_nearest(sl, c)
         else:
-            c, _, _, d2 = kmeans(sl, 256, seed=seed + j, iters=iters)
+            c, _, _, d2 = kmeans(sl, PQ_CENTROIDS, seed=seed + j, iters=iters)
         cents[j] = c
         err2 += d2
     return PQCodebook(centroids=cents), float(np.sqrt(err2).mean())
@@ -275,7 +278,7 @@ class FingerprintIndex:
             m, sub = self.codebook.n_subspaces, self.codebook.sub_dim
             cents = self._centroids_f64()
             cb = self.codebook.centroids.astype(np.float64)
-            rows = self.partition_ids.astype(np.intp) * 256
+            rows = self.partition_ids.astype(np.intp) * PQ_CENTROIDS
             terms = np.zeros(self.n_points)
             for j in range(m):
                 # einsum, not a BLAS product that would wake a second thread
@@ -345,7 +348,8 @@ def train_index_models(fingerprints: np.ndarray, p: int | None = None,
     """Train the partitioner, then PQ on the residuals, over (n, d) float32
     fingerprints in the order given. Defaults: P = ceil(sqrt(N)), M = d/8."""
     n, d = fingerprints.shape
-    partitioner = train_partitioner(fingerprints, p or default_partition_count(n), seed=seed)
+    p = default_partition_count(n) if p is None else p
+    partitioner = train_partitioner(fingerprints, p, seed=seed)
     residuals = fingerprints - partitioner.centroids[partitioner.assign(fingerprints)]
     codebook, _ = train_pq(residuals, m or max(1, d // 8), seed=seed)
     return partitioner, codebook

@@ -20,7 +20,7 @@ from .corpus import SNRS_DB, CorpusConfig, to_pcm
 from .detector import DetectorWeights, GateConfig, smooth_and_gate, streaming_predictions
 from .embedder import EmbedderTopology, EmbedderWeights, fingerprint_stream
 from .errors import ConfigError
-from .frontend import HOP, HOP_MS, HOP_S, WINDOW, PcmStream, canonicalize, log_mel_frames
+from .frontend import HOP, HOP_MS, WINDOW, PcmStream, canonicalize, log_mel_frames
 from .match import QUERY_PHASES, MatchResult
 
 
@@ -206,7 +206,7 @@ def build_database_from_corpus(corpus_cfg: CorpusConfig, weights: EmbedderWeight
     for song in range(corpus_cfg.n_songs):
         wave = corpus_mod.song_audio(corpus_cfg, song)
         fps = fingerprint_wave(wave, weights)
-        rec = store_mod.SongRecord(song_id=song, title=f"synthetic song {song:04d}",
+        rec = store_mod.SongRecord(song_id=song, title=corpus_mod.song_title(song),
                                    artist="tunescout corpus", duration_s=corpus_cfg.duration_s)
         entries.append((rec, fps))
     return build_database_from_fingerprints(entries, cfg)
@@ -235,6 +235,13 @@ def recognize_pcm(db: store_mod.Database, pcm: PcmStream, weights: EmbedderWeigh
 
 # ------------------------------------------------- continuous listening sim
 
+def _wakeup_buffer(end: int, buffer_len: int) -> tuple[int, slice]:
+    """The first sample of the buffer that ends at sample end, a point on the
+    hop grid, and the frames whose windows lie inside [start, end)."""
+    start = max(0, end - buffer_len)
+    return start, slice(-(-start // HOP), (end - WINDOW) // HOP + 1)
+
+
 def stream_file(db: store_mod.Database, pcm: PcmStream, emb_weights: EmbedderWeights,
                 det_weights: DetectorWeights, cfg: PipelineConfig) -> dict:
     """Frontend -> streaming detector -> gate; recognition on each wake-up.
@@ -242,31 +249,31 @@ def stream_file(db: store_mod.Database, pcm: PcmStream, emb_weights: EmbedderWei
     Returns an event log plus wakeup count and the fraction of audio the
     fingerprinter processed (duty-cycle proxy for the main-processor cost).
     """
+    topo = det_weights.topology
     pcm = canonicalize(pcm)
+    buffer_len = int(cfg.gate.buffer_len_s * pcm.sample_rate)
+    # the first wake-up's buffer is the shortest one
+    _, first = _wakeup_buffer(topo.emission_frame(0) * HOP, buffer_len)
+    if first.stop - first.start < emb_weights.topology.frames:
+        raise ConfigError(f"gate.buffer_len_s {cfg.gate.buffer_len_s} holds fewer than the "
+                          f"{emb_weights.topology.frames} frames of one fingerprint window")
     frames = log_mel_frames(pcm)
-    emitted = streaming_predictions(frames, det_weights)
-    preds = [p for _, p in emitted]
+    preds = [p for _, p in streaming_predictions(frames, det_weights)]
     events = []
     fingerprinted_s = 0.0
     total_s = pcm.duration_s()
-    if preds:
-        gate_events = smooth_and_gate(preds, cfg.gate, start_time_s=emitted[0][0] * HOP_S,
-                                      cadence_s=det_weights.topology.cadence_s)
-        buffer_len = int(cfg.gate.buffer_len_s * pcm.sample_rate)
-        for ev in gate_events:
-            # the buffer is the frames whose windows lie inside [start, end),
-            # end being the sample at which the firing prediction was emitted
-            end = emitted[ev.index][0] * HOP
-            start = max(0, end - buffer_len)
-            buf = frames[-(-start // HOP) : (end - WINDOW) // HOP + 1]
-            fingerprinted_s += (end - start) / pcm.sample_rate
-            record = {"time_s": round(ev.time_s, 2),
-                      "mean_confidence": round(ev.mean_confidence, 4)}
-            try:
-                record["match"] = recognize_frames(db, buf, emb_weights).to_dict()
-            except ValueError as e:
-                record["match"] = {"error": str(e)}
-            events.append(record)
+    for ev in smooth_and_gate(preds, cfg.gate, topo):
+        # the buffer ends at the sample at which the firing prediction was emitted
+        end = topo.emission_frame(ev.index) * HOP
+        start, buf = _wakeup_buffer(end, buffer_len)
+        fingerprinted_s += (end - start) / pcm.sample_rate
+        record = {"time_s": round(ev.time_s, 2),
+                  "mean_confidence": round(ev.mean_confidence, 4)}
+        try:
+            record["match"] = recognize_frames(db, frames[buf], emb_weights).to_dict()
+        except ValueError as e:
+            record["match"] = {"error": str(e)}
+        events.append(record)
     return {
         "events": events,
         "wakeups": len(events),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DbBoundsError, DbChecksumError, DbMagicError, DbVersionError
-from .index import (COVERAGE, FingerprintIndex, PartitionerModel, PQCodebook,
+from .index import (COVERAGE, PQ_CENTROIDS, FingerprintIndex, PartitionerModel, PQCodebook,
                     compression_ratio, encode_index)
 from .match import local_density
 
@@ -32,7 +32,7 @@ _FRAME_BYTES = struct.calcsize(_HEADER) + N_SECTIONS * 16 + 4
 def _array_section_lengths(d: int, m: int, p: int, n_fps: int) -> list[int]:
     """Byte lengths of the codes, assignments, centroids, codebooks and radii
     sections; every section but the songs one has a fixed size."""
-    return [n_fps * m, n_fps * 2, p * d * 4, m * 256 * (d // m) * 4, n_fps * 2]
+    return [n_fps * m, n_fps * 2, p * d * 4, m * PQ_CENTROIDS * (d // m) * 4, n_fps * 2]
 
 
 @dataclass
@@ -220,7 +220,7 @@ def load_db(data: bytes, coverage: float = COVERAGE) -> Database:
     codes = np.frombuffer(sec(1), dtype=np.uint8).reshape(n_fps, m)
     pids = np.frombuffer(sec(2), dtype="<u2").astype(np.int32)
     centroids = np.frombuffer(sec(3), dtype="<f4").reshape(p, d)
-    cb = np.frombuffer(sec(4), dtype="<f4").reshape(m, 256, d // m)
+    cb = np.frombuffer(sec(4), dtype="<f4").reshape(m, PQ_CENTROIDS, d // m)
     radii = np.frombuffer(sec(5), dtype="<f2").astype(np.float64)
     if pids.size and (pids.min() < 0 or pids.max() >= p):
         raise DbBoundsError("partition assignment out of range")

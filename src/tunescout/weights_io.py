@@ -14,6 +14,7 @@ import struct
 
 import numpy as np
 
+from . import detector, embedder
 from .errors import WeightsFormatError
 
 DETECTOR_MAGIC = b"NPMD"
@@ -60,8 +61,8 @@ def save_tensors(magic: bytes, tensors: dict[str, np.ndarray], meta: dict,
     return b"".join(out)
 
 
-def load_tensors(data: bytes, magic: bytes) -> tuple[dict[str, np.ndarray], dict, bool]:
-    """Returns (tensors, meta, was_quantized)."""
+def load_tensors(data: bytes, magic: bytes) -> tuple[dict[str, np.ndarray], dict]:
+    """Returns (tensors, meta); q8 tensors come back dequantized."""
     if len(data) < 12 or data[:4] != magic:
         raise WeightsFormatError(f"bad magic, expected {magic!r}")
     (version,) = struct.unpack_from("<H", data, 4)
@@ -75,7 +76,6 @@ def load_tensors(data: bytes, magic: bytes) -> tuple[dict[str, np.ndarray], dict
         (n_tensors,) = struct.unpack_from("<H", data, pos)
         pos += 2
         tensors = {}
-        any_q8 = False
         for _ in range(n_tensors):
             (name_len,) = struct.unpack_from("<H", data, pos)
             pos += 2
@@ -91,7 +91,6 @@ def load_tensors(data: bytes, magic: bytes) -> tuple[dict[str, np.ndarray], dict
                 pos += 4 * count
                 tensors[name] = raw.reshape(shape).astype(np.float32)
             elif dtype == DTYPE_Q8:
-                any_q8 = True
                 raw = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
                 pos += count
                 tensors[name] = dequantize_tensor(raw, scale, zero).reshape(shape)
@@ -99,7 +98,7 @@ def load_tensors(data: bytes, magic: bytes) -> tuple[dict[str, np.ndarray], dict
                 raise WeightsFormatError(f"unknown tensor dtype {dtype}")
     except (struct.error, ValueError, UnicodeDecodeError) as e:
         raise WeightsFormatError(f"truncated or corrupt weight file: {e}") from e
-    return tensors, meta, any_q8
+    return tensors, meta
 
 
 def _topology(cls, meta, tensors: dict[str, np.ndarray], tensor_shapes):
@@ -126,25 +125,23 @@ def _topology(cls, meta, tensors: dict[str, np.ndarray], tensor_shapes):
 
 
 def save_detector(w, quantize: bool = False) -> bytes:
-    meta = {"topology": dataclasses.asdict(w.topology), "quantized": bool(quantize or w.quantized)}
+    """With quantize, every tensor is stored as q8: the 8-bit model is
+    load_detector(save_detector(fold_batchnorm(w), quantize=True))."""
+    meta = {"topology": dataclasses.asdict(w.topology), "quantized": quantize}
     return save_tensors(DETECTOR_MAGIC, w.tensors, meta, quantize=quantize)
 
 
-def load_detector(data: bytes):
-    from .detector import DetectorTopology, DetectorWeights, tensor_shapes
-
-    tensors, meta, any_q8 = load_tensors(data, DETECTOR_MAGIC)
-    topo = _topology(DetectorTopology, meta, tensors, tensor_shapes)
-    return DetectorWeights(topology=topo, tensors=tensors, quantized=any_q8 or meta.get("quantized", False))
+def load_detector(data: bytes) -> detector.DetectorWeights:
+    tensors, meta = load_tensors(data, DETECTOR_MAGIC)
+    topo = _topology(detector.DetectorTopology, meta, tensors, detector.tensor_shapes)
+    return detector.DetectorWeights(topology=topo, tensors=tensors)
 
 
 def save_embedder(w) -> bytes:
     return save_tensors(EMBEDDER_MAGIC, w.tensors, {"topology": dataclasses.asdict(w.topology)})
 
 
-def load_embedder(data: bytes):
-    from .embedder import EmbedderTopology, EmbedderWeights, tensor_shapes
-
-    tensors, meta, _ = load_tensors(data, EMBEDDER_MAGIC)
-    topo = _topology(EmbedderTopology, meta, tensors, tensor_shapes)
-    return EmbedderWeights(topology=topo, tensors=tensors)
+def load_embedder(data: bytes) -> embedder.EmbedderWeights:
+    tensors, meta = load_tensors(data, EMBEDDER_MAGIC)
+    topo = _topology(embedder.EmbedderTopology, meta, tensors, embedder.tensor_shapes)
+    return embedder.EmbedderWeights(topology=topo, tensors=tensors)

@@ -103,7 +103,7 @@ def ambient_hour(trained_detector):
         pos += dur + float(rng.uniform(180.0, 230.0))
     length_s = 3600.0
     wave = ambient_audio(length_s, regions, corpus_cfg, seed=1)
-    probs, times = evalrun.detector_prediction_stream(wave, det)
-    return {"regions": regions, "probs": probs, "times": times,
+    probs = evalrun.detector_prediction_stream(wave, det)
+    return {"regions": regions, "probs": probs,
             "length_s": length_s, "wave": wave, "corpus_cfg": corpus_cfg,
             "detector": det, "elapsed_s": time.perf_counter() - t0}

@@ -20,8 +20,8 @@ from tunescout.detector import (
     DetectorTopology,
     GateConfig,
     batch_predictions,
+    fold_batchnorm,
     init_weights,
-    quantize_weights,
     streaming_predictions,
 )
 from tunescout.embedder import (
@@ -137,7 +137,7 @@ def test_acceptance_03_probe_scan_fraction():
 def test_acceptance_04_detector_budget(trained_detector):
     w, _, _, _ = trained_detector
     n_params = w.topology.parameter_count()
-    blob = weights_io.save_detector(quantize_weights(w), quantize=True)
+    blob = weights_io.save_detector(fold_batchnorm(w), quantize=True)
     ok = (8000 <= n_params <= 9000 and len(blob) < 10 * 1024)
     _report(4, "detector has 8-9k parameters and a <10 KB quantized file", ok,
             f"{n_params} params, {len(blob)} bytes")
@@ -355,18 +355,18 @@ def test_acceptance_10_adaptive_beats_naive(desk):
 
 def test_acceptance_11_gate_behavior(ambient_hour):
     regions = ambient_hour["regions"]
-    probs, times = ambient_hour["probs"], ambient_hour["times"]
+    probs, topo = ambient_hour["probs"], ambient_hour["detector"].topology
     gate = GateConfig()
-    metrics = gate_region_metrics(probs, times, regions, gate, ambient_hour["length_s"])
+    metrics = gate_region_metrics(probs, topo, regions, gate, ambient_hour["length_s"])
     loud_hit = all(hit for reg, hit in zip(regions, metrics["region_hits"])
                    if reg.snr_db >= 10.0)
 
     silence = np.zeros(600 * 16000, dtype=np.float32)
     sil_preds = batch_predictions(log_mel_frames(to_pcm(silence)),
                                   ambient_hour["detector"])
-    sil_events = smooth_and_gate([p for _, p in sil_preds], gate)
+    sil_events = smooth_and_gate([p for _, p in sil_preds], gate, topo)
 
-    rows = detector_sweep(probs, times, regions, gate, ambient_hour["length_s"])
+    rows = detector_sweep(probs, topo, regions, gate, ambient_hour["length_s"])
     recalls = [r["recall"] for r in rows]
     fps = [r["fp_per_hour"] for r in rows]
     monotone = (all(a >= b for a, b in zip(recalls, recalls[1:]))

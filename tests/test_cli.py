@@ -13,6 +13,7 @@ import pytest
 import tunescout
 from tunescout import cli, weights_io
 from tunescout.corpus import CorpusConfig, MusicRegion, ambient_audio, song_audio, to_pcm
+from tunescout.detector import fold_batchnorm
 from tunescout.embedder import init_weights as emb_init
 from tunescout.frontend import encode_wav
 from tunescout.pipeline import PipelineConfig
@@ -164,6 +165,51 @@ def test_stream_silence_and_music(workdir, trained_detector, tmp_path, capsys):
     assert 0.0 < summary["duty_cycle"] < 1.0
     event = json.loads(lines[0])
     assert "time_s" in event and "match" in event
+
+
+@pytest.mark.parametrize("buffer_len_s, ok", [(0.5, False), (0.975, False), (0.98, True)])
+def test_stream_buffer_must_hold_one_fingerprint_window(workdir, trained_detector, tmp_path,
+                                                        capsys, buffer_len_s, ok):
+    # 96 frames of 400 samples at a 160-sample hop span 0.975 s, but a buffer
+    # ending on the hop grid holds floor(buffer / 160) - 2 whole frames
+    det, _, _, _ = trained_detector
+    det_path = tmp_path / "det.npmd"
+    det_path.write_bytes(weights_io.save_detector(det))
+    cfg = json.loads(Path(workdir["cfg"]).read_text())
+    cfg["gate"]["buffer_len_s"] = buffer_len_s
+    cfg_path = tmp_path / "gate.json"
+    cfg_path.write_text(json.dumps(cfg))
+    regions = [MusicRegion(start_s=5.0, duration_s=45.0, song_id=0, snr_db=20.0)]
+    music = ambient_audio(60.0, regions, workdir["corpus_cfg"], seed=4)
+    rc = cli.main(["stream", "--db", workdir["db"], "--weights", workdir["weights"],
+                   "--detector-weights", str(det_path),
+                   "--wav", _wav(tmp_path / "mus.wav", music), "--config", str(cfg_path)])
+    out, err = capsys.readouterr()
+    if ok:
+        events = [json.loads(line) for line in out.splitlines()[:-1]]
+        assert rc == 0 and events
+        assert all("error" not in ev["match"] for ev in events)
+        return
+    assert rc == 2 and out == ""
+    assert err.strip().splitlines() == [
+        f"error: gate.buffer_len_s {buffer_len_s} holds fewer than the 96 frames "
+        "of one fingerprint window"]
+
+
+def test_train_writes_the_q8_model_quantized_once(workdir, tmp_path):
+    # on this detector, quantizing the dequantized weights a second time
+    # moves conv4_dw off the grid of the first quantization
+    assert cli.main(["train", "--corpus", workdir["corpus"], "--what", "detector",
+                     "--steps", "10", "--detector-clips", "40",
+                     "--config", workdir["cfg"], "--out", str(tmp_path)]) == 0
+    dw = weights_io.load_detector((tmp_path / "detector.npmd").read_bytes())
+    q8 = weights_io.load_detector((tmp_path / "detector_q8.npmd").read_bytes())
+    folded = fold_batchnorm(dw)
+    assert q8.topology == folded.topology
+    assert q8.tensors.keys() == folded.tensors.keys()
+    for name, x in folded.tensors.items():
+        expected = weights_io.dequantize_tensor(*weights_io.quantize_tensor(x))
+        assert q8.tensors[name].tobytes() == expected.tobytes(), name
 
 
 def test_eval_pr_csv(workdir, capsys):

@@ -7,7 +7,7 @@ from detector_helper import detector_forward, training_loss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tunescout import nnops
+from tunescout import nnops, weights_io
 from tunescout.detector import (
     DetectorTopology,
     DetectorTrainConfig,
@@ -17,7 +17,6 @@ from tunescout.detector import (
     batch_predictions,
     fold_batchnorm,
     init_weights,
-    quantize_weights,
     smooth_and_gate,
     streaming_predictions,
     train_detector,
@@ -45,6 +44,7 @@ def test_layer_length_chain_matches_tabulated_sizes():
     assert TOPO.layer_lengths() == [446, 222, 110, 54, 26, 12, 5]
     assert TOPO.flat_size == 160
     assert TOPO.cadence_frames == 64
+    assert [TOPO.emission_frame(j) for j in range(3)] == [446, 510, 574]
     assert DetectorTopology().cadence_s == 0.64
 
 
@@ -157,7 +157,7 @@ def test_streaming_equals_batch_on_moved_bn_and_quantized_weights(form):
     rng = np.random.default_rng(10)
     w = _moved_batchnorm(init_weights(TOPO, seed=10), rng)
     if form == "quantized":
-        w = quantize_weights(w)
+        w = weights_io.load_detector(weights_io.save_detector(fold_batchnorm(w), quantize=True))
         assert not w.topology.batch_norm
     frames = rng.standard_normal((1100, 32)).astype(np.float32)
     s = streaming_predictions(frames, w)
@@ -223,31 +223,31 @@ def _gcfg(**kw):
 
 
 def test_gate_fires_on_cth_consecutive():
-    events = smooth_and_gate([0.9, 0.9, 0.9], _gcfg())
+    events = smooth_and_gate([0.9, 0.9, 0.9], _gcfg(), TOPO)
     assert len(events) == 1 and events[0].index == 2
 
 
 def test_gate_run_resets_below_threshold():
-    events = smooth_and_gate([0.9, 0.4, 0.9, 0.9, 0.9], _gcfg())
+    events = smooth_and_gate([0.9, 0.4, 0.9, 0.9, 0.9], _gcfg(), TOPO)
     assert len(events) == 1 and events[0].index == 4
 
 
 def test_gate_refractory_arithmetic():
     # 60 s of 0.9s at 0.64 s cadence with 30 s refractory -> exactly 2 events
     n = int(60 / 0.64)
-    events = smooth_and_gate([0.9] * n, _gcfg(refractory_s=30.0))
+    events = smooth_and_gate([0.9] * n, _gcfg(refractory_s=30.0), TOPO)
     assert len(events) == 2
 
 
 def test_gate_smoothing_is_sliding_mean():
     cfg = _gcfg(smoothing_window_s=1.92, consecutive=1)  # window of 3
-    events = smooth_and_gate([0.0, 0.0, 0.9, 0.9], cfg)
+    events = smooth_and_gate([0.0, 0.0, 0.9, 0.9], cfg, TOPO)
     # means: 0, 0, 0.3, 0.6 -> first crossing at index 3
     assert [e.index for e in events] == [3]
     assert events[0].mean_confidence == pytest.approx(0.6)
 
 
-def _gate_loop(preds, cfg, start_time_s=0.0, cadence_s=0.64):
+def _gate_loop(preds, cfg, start_time_s, cadence_s=0.64):
     """The gate one prediction at a time, np.mean over a fresh slice each."""
     win = max(1, int(round(cfg.smoothing_window_s / cadence_s)))
     events, run, last_fire = [], 0, -np.inf
@@ -269,10 +269,10 @@ def test_gate_equals_per_prediction_loop(n, window):
     # quarter steps put many window means exactly on the 0.5 threshold
     quarters = list(rng.integers(0, 5, n) / 4.0)
     for preds in (quarters, list(rng.uniform(0, 1, n)), [0.5] * n):
-        got = smooth_and_gate(preds, cfg, start_time_s=1.5)
+        got = smooth_and_gate(preds, cfg, DetectorTopology(input_frames=150))
         ref = _gate_loop(preds, cfg, start_time_s=1.5)
         assert [(e.index, e.time_s, e.mean_confidence) for e in got] == ref
-    assert smooth_and_gate([0.5] * n, cfg) == []  # at the threshold is not over it
+    assert smooth_and_gate([0.5] * n, cfg, TOPO) == []  # at the threshold is not over it
 
 
 def test_gate_config_validation():
@@ -293,10 +293,11 @@ def test_gate_config_validation():
        t1=st.floats(0.1, 0.8), dt=st.floats(0.01, 0.19), dc=st.integers(0, 3))
 def test_gate_monotone_in_threshold_and_consecutive(seed, t1, dt, dc):
     preds = np.random.default_rng(seed).uniform(0, 1, 60)
-    lo = smooth_and_gate(preds, _gcfg(threshold=t1, refractory_s=5.0))
-    hi = smooth_and_gate(preds, _gcfg(threshold=t1 + dt, refractory_s=5.0))
+    lo = smooth_and_gate(preds, _gcfg(threshold=t1, refractory_s=5.0), TOPO)
+    hi = smooth_and_gate(preds, _gcfg(threshold=t1 + dt, refractory_s=5.0), TOPO)
     assert len(hi) <= len(lo)
-    more_c = smooth_and_gate(preds, _gcfg(threshold=t1, consecutive=3 + dc, refractory_s=5.0))
+    more_c = smooth_and_gate(preds, _gcfg(threshold=t1, consecutive=3 + dc, refractory_s=5.0),
+                             TOPO)
     assert len(more_c) <= len(lo)
 
 
@@ -352,10 +353,8 @@ def test_streaming_detector_applies_the_written_out_fold():
 
 
 def test_quantized_file_fits_budget():
-    from tunescout import weights_io
-
     w = init_weights(TOPO, seed=0)
-    blob = weights_io.save_detector(quantize_weights(w), quantize=True)
+    blob = weights_io.save_detector(fold_batchnorm(w), quantize=True)
     assert len(blob) < 10 * 1024
 
 

@@ -162,6 +162,15 @@ def test_default_partition_count():
     assert default_partition_count(1) == 1
 
 
+@pytest.mark.parametrize("p", [0, -3])
+def test_fewer_than_one_partition_is_an_error(p):
+    x = np.random.default_rng(0).standard_normal((300, 16)).astype(np.float32)
+    with pytest.raises(ValueError, match="at least one partition"):
+        train_partitioner(x, p)
+    with pytest.raises(ValueError, match="at least one partition"):
+        train_index_models(x, p=p)
+
+
 # --------------------------------------------------------------------- PQ
 
 def test_train_pq_exact_on_few_distinct_points():

@@ -162,8 +162,9 @@ def stream_run():
     pcm = to_pcm(ambient_audio(70.0, regions, STREAM_CORPUS, seed=2))
     buffers, mel_calls = [], []
 
-    def gate(preds, gate_cfg, start_time_s, cadence_s):
-        return [GateEvent(i, start_time_s + i * cadence_s, preds[i]) for i in FIRE_INDICES]
+    def gate(preds, gate_cfg, topo):
+        return [GateEvent(i, topo.input_frames * HOP_S + i * topo.cadence_s, preds[i])
+                for i in FIRE_INDICES]
 
     def recognize(db, frames, weights):
         buffers.append(frames)

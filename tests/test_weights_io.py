@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tunescout import weights_io
-from tunescout.detector import DetectorTopology, init_weights, quantize_weights
+from tunescout.detector import DetectorTopology, fold_batchnorm, init_weights
 from tunescout.embedder import init_weights as emb_init
 from tunescout.errors import WeightsFormatError
 from tunescout.pipeline import PipelineConfig
@@ -19,16 +19,15 @@ def test_detector_round_trip_float():
     w = init_weights(SMALL_DET, seed=1)
     out = weights_io.load_detector(weights_io.save_detector(w))
     assert out.topology == SMALL_DET
-    assert not out.quantized
     for name, x in w.tensors.items():
         assert np.array_equal(out.tensors[name], x)
 
 
 def test_detector_round_trip_quantized():
-    w = quantize_weights(init_weights(SMALL_DET, seed=1))
+    q8 = weights_io.save_detector(fold_batchnorm(init_weights(SMALL_DET, seed=1)), quantize=True)
+    w = weights_io.load_detector(q8)
     blob = weights_io.save_detector(w, quantize=True)
     out = weights_io.load_detector(blob)
-    assert out.quantized
     for name, x in w.tensors.items():
         # values are already on the q8 grid, so re-quantization is lossless
         assert np.allclose(out.tensors[name], x, atol=1e-5)
