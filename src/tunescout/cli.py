@@ -92,6 +92,8 @@ def _corpus_from_dir(path: str) -> tuple[CorpusConfig, CorpusConfig]:
 
 
 def cmd_train(args) -> int:
+    if args.train_songs is not None and args.train_songs < 1:
+        raise ValueError("--train-songs must be >= 1")
     cfg = _load_config(args.config)
     corpus_cfg, _ = _corpus_from_dir(args.corpus)
     out = Path(args.out)
@@ -160,6 +162,8 @@ def cmd_stream(args) -> int:
 
 
 def cmd_eval_pr(args) -> int:
+    if args.train_songs is not None and args.train_songs < 1:
+        raise ValueError("--train-songs must be >= 1")
     cfg = _load_config(args.config)
     corpus_cfg, holdout_cfg = _corpus_from_dir(args.corpus)
     dims = [int(d) for d in args.dims.split(",")]

@@ -83,7 +83,7 @@ def tensor_shapes(topo: DetectorTopology) -> dict[str, tuple[int, ...]]:
     for i in range(topo.n_layers):
         shapes |= {f"conv{i}_dw": (topo.kernel, c), f"conv{i}_pw": (c, c), f"conv{i}_b": (c,)}
         if topo.batch_norm:
-            shapes |= {f"conv{i}_bn_{k}": (c,) for k in ("gamma", "beta", "mean", "var")}
+            shapes |= {f"conv{i}_bn_{k}": (c,) for k in nnops.BN_TENSORS}
     return shapes | {"fc1_w": (topo.flat_size, h), "fc1_b": (h,), "fc2_w": (h, 1), "fc2_b": (1,)}
 
 
@@ -97,7 +97,7 @@ def forward_batch(x: np.ndarray, w: DetectorWeights, train: bool = False):
     """Logits for a batch of windows. x: (B, input_frames, channels).
 
     Returns (logits (B,), cache). In train mode batch-norm uses batch
-    statistics and updates the running stats in place.
+    statistics and replaces the running stats in w.tensors.
     """
     topo = w.topology
     t = w.tensors
@@ -108,13 +108,7 @@ def forward_batch(x: np.ndarray, w: DetectorWeights, train: bool = False):
         z = dwconv1d(xin, t[f"conv{i}_dw"], topo.stride)
         zp = dense(z, t[f"conv{i}_pw"], t[f"conv{i}_b"])
         if topo.batch_norm:
-            y, bn_cache, rm, rv = batchnorm(
-                zp, t[f"conv{i}_bn_gamma"], t[f"conv{i}_bn_beta"],
-                t[f"conv{i}_bn_mean"], t[f"conv{i}_bn_var"], train,
-            )
-            if train:
-                t[f"conv{i}_bn_mean"] = rm.astype(t[f"conv{i}_bn_mean"].dtype)
-                t[f"conv{i}_bn_var"] = rv.astype(t[f"conv{i}_bn_var"].dtype)
+            y, bn_cache = batchnorm(zp, t, f"conv{i}_bn_", train)
         else:
             y, bn_cache = zp, None
         h = relu(y)
@@ -140,9 +134,8 @@ def backward_batch(dlogits: np.ndarray, w: DetectorWeights, cache) -> dict[str, 
         xin, z, bn_cache, y = cache["x"][i]
         dyy = relu_bwd(y, dh)
         if topo.batch_norm:
-            dzp, grads[f"conv{i}_bn_gamma"], grads[f"conv{i}_bn_beta"] = batchnorm_bwd(
-                dyy, t[f"conv{i}_bn_gamma"], bn_cache
-            )
+            dzp, bn_grads = batchnorm_bwd(dyy, bn_cache)
+            grads |= bn_grads
         else:
             dzp = dyy
         dz, grads[f"conv{i}_pw"], grads[f"conv{i}_b"] = dense_bwd(z, t[f"conv{i}_pw"], dzp)
@@ -156,10 +149,11 @@ class StreamingDetector:
     """Incremental evaluation: push a block of frames per call.
 
     Each conv layer carries the inputs it has not consumed yet (fewer than
-    `kernel`) and, per block, computes every window the carry plus the new
-    inputs complete. The head carries the last top_len - 1 top-layer
-    outputs and scores every full window of them. Batch norm is folded into
-    the pointwise weights once, here.
+    `kernel`) and, per block, runs forward_batch's layers (dwconv1d, dense,
+    relu) over the carry plus the new inputs. The head carries the last
+    top_len - 1 top-layer outputs and runs the two dense layers over every
+    full window of them. Batch norm is folded into the pointwise weights
+    once, here.
     """
 
     def __init__(self, weights: DetectorWeights):
@@ -179,16 +173,12 @@ class StreamingDetector:
         h = np.asarray(frames, dtype=np.float32)
         if h.ndim != 2 or h.shape[1] != topo.channels:
             raise ValueError(f"expected frames of shape (n, {topo.channels}), got {h.shape}")
-        k, s = topo.kernel, topo.stride
         for i, (dw, pw, b) in enumerate(self._layers):
             x = np.concatenate([self._carry[i], h])
-            m = max(0, (x.shape[0] - k) // s + 1)
-            z = x[: s * m : s] * dw[0]
-            for j in range(1, k):
-                z += x[j : j + s * m : s] * dw[j]
-            h = relu(z @ pw + b)
+            z = dwconv1d(x, dw, topo.stride)
+            h = relu(dense(z, pw, b))
             # copies, so that the carries do not keep this block's arrays alive
-            self._carry[i] = x[m * s :].copy()
+            self._carry[i] = x[len(z) * topo.stride :].copy()
         top = np.concatenate([self._top, h])
         self._top = top[max(0, top.shape[0] - self._top_len + 1) :].copy()
         if top.shape[0] < self._top_len:
@@ -196,8 +186,7 @@ class StreamingDetector:
         # row j is top outputs j .. j + top_len - 1, flattened like forward_batch's
         windows = sliding_window_view(top.reshape(-1), self._top_len * topo.channels)[:: topo.channels]
         fc1_w, fc1_b, fc2_w, fc2_b = self._head
-        a1 = relu(windows @ fc1_w + fc1_b)
-        return sigmoid((a1 @ fc2_w + fc2_b)[:, 0])
+        return sigmoid(dense(relu(dense(windows, fc1_w, fc1_b)), fc2_w, fc2_b)[:, 0])
 
 
 def streaming_predictions(frames: np.ndarray, w: DetectorWeights) -> list[tuple[int, float]]:
@@ -290,11 +279,10 @@ def fold_batchnorm(w: DetectorWeights) -> DetectorWeights:
     topo = w.topology
     if not topo.batch_norm:
         return w
-    t = dict(w.tensors)
+    t = {name: x for name, x in w.tensors.items() if "_bn_" not in name}
     for i in range(topo.n_layers):
-        bn = [t.pop(f"conv{i}_bn_{k}") for k in ("gamma", "beta", "mean", "var")]
         t[f"conv{i}_pw"], t[f"conv{i}_b"] = nnops.fold_bn(
-            t[f"conv{i}_pw"], t[f"conv{i}_b"], *bn)
+            t[f"conv{i}_pw"], t[f"conv{i}_b"], w.tensors, f"conv{i}_bn_")
     return DetectorWeights(topology=replace(topo, batch_norm=False), tensors=t)
 
 

@@ -13,6 +13,7 @@ import numpy as np
 from .frontend import MEL_BINS
 from .nnops import (
     Adam,
+    BN_TENSORS,
     batchnorm,
     batchnorm_bwd,
     conv2d,
@@ -29,6 +30,7 @@ from .nnops import (
 _BATCH_WINDOWS = 256  # windows per forward pass in fingerprint_stream
 TRIPLET_MARGIN = 0.4  # in squared distance: how much farther a negative must be than the positive
 POS_TOLERANCE_MS = 300.0  # same-song windows whose starts differ by less are positives
+NEG_SEPARATION_MS = 2000.0  # same-song windows whose starts differ by this much are negatives
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ def tensor_shapes(topo: EmbedderTopology) -> dict[str, tuple[int, ...]]:
     cin = 1
     for i, c in enumerate(topo.conv_channels):
         shapes |= {f"conv{i}_w": (topo.kernel, topo.kernel, cin, c), f"conv{i}_b": (c,)}
-        shapes |= {f"conv{i}_bn_{k}": (c,) for k in ("gamma", "beta", "mean", "var")}
+        shapes |= {f"conv{i}_bn_{k}": (c,) for k in BN_TENSORS}
         cin = c
     bi, bh, bo = topo.branch_input, topo.branch_hidden, topo.dim // topo.branches
     for j in range(topo.branches):
@@ -169,13 +171,7 @@ def forward_batch(x: np.ndarray, w: EmbedderWeights, train: bool = False):
     for i in range(len(topo.conv_channels)):
         xin = h
         z = conv2d(xin, t[f"conv{i}_w"], t[f"conv{i}_b"], topo.stride)
-        y, bn_cache, rm, rv = batchnorm(
-            z, t[f"conv{i}_bn_gamma"], t[f"conv{i}_bn_beta"],
-            t[f"conv{i}_bn_mean"], t[f"conv{i}_bn_var"], train,
-        )
-        if train:
-            t[f"conv{i}_bn_mean"] = rm.astype(t[f"conv{i}_bn_mean"].dtype)
-            t[f"conv{i}_bn_var"] = rv.astype(t[f"conv{i}_bn_var"].dtype)
+        y, bn_cache = batchnorm(z, t, f"conv{i}_bn_", train)
         h = elu(y)
         conv_cache.append((xin, z, bn_cache, y))
     flat = h.reshape(h.shape[0], -1)
@@ -194,18 +190,11 @@ def backward_batch(dout: np.ndarray, w: EmbedderWeights, cache) -> dict[str, np.
     for i in reversed(range(len(topo.conv_channels))):
         xin, z, bn_cache, y = cache["conv"][i]
         dyy = elu_bwd(y, dh)
-        dz, grads[f"conv{i}_bn_gamma"], grads[f"conv{i}_bn_beta"] = batchnorm_bwd(
-            dyy, t[f"conv{i}_bn_gamma"], bn_cache
-        )
+        dz, bn_grads = batchnorm_bwd(dyy, bn_cache)
+        grads |= bn_grads
         dxin, grads[f"conv{i}_w"], grads[f"conv{i}_b"] = conv2d_bwd(xin, t[f"conv{i}_w"], dz, topo.stride)
         dh = dxin
     return grads
-
-
-def _folded_conv(t: dict[str, np.ndarray], i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Conv layer i's weights and bias with its batch norm folded in."""
-    return fold_bn(t[f"conv{i}_w"], t[f"conv{i}_b"],
-                   *(t[f"conv{i}_bn_{k}"] for k in ("gamma", "beta", "mean", "var")))
 
 
 def forward_inference(x: np.ndarray, w: EmbedderWeights) -> np.ndarray:
@@ -218,9 +207,11 @@ def forward_inference(x: np.ndarray, w: EmbedderWeights) -> np.ndarray:
     nothing is written to w.tensors, whose BN statistics training updates.
     """
     topo = w.topology
+    t = w.tensors
     h = standardize_windows(x)[..., None]
     for i in range(len(topo.conv_channels)):
-        h = elu_inplace(conv2d(h, *_folded_conv(w.tensors, i), topo.stride, im2col=True))
+        wb = fold_bn(t[f"conv{i}_w"], t[f"conv{i}_b"], t, f"conv{i}_bn_")
+        h = elu_inplace(conv2d(h, *wb, topo.stride, im2col=True))
     pre, _ = divide_and_encode(h.reshape(len(h), -1), w)
     return l2_normalize(pre)
 
@@ -280,42 +271,35 @@ class TripletBatch:
 def mine_triplets(embeddings: np.ndarray, song_ids: np.ndarray, offsets_ms: np.ndarray,
                   pos_tolerance_ms: float = POS_TOLERANCE_MS,
                   margin: float = TRIPLET_MARGIN) -> TripletBatch:
-    """Within-batch mining.
+    """Within-batch mining, every anchor at once.
 
     A positive pair must come from the same song with start offsets closer
     than pos_tolerance_ms; each anchor takes its hardest (farthest)
-    positive. Negatives are semi-hard (farther than the positive but inside
-    the margin) when available, else the hardest.
+    positive. Negatives are other songs, or the same song NEG_SEPARATION_MS
+    or more away; each anchor takes its nearest semi-hard one (farther than
+    the positive but inside the margin) when there is one, else the hardest.
+    Ties go to the lowest index. Anchors without a positive or a negative
+    are left out.
     """
     song_ids = np.asarray(song_ids)
     offsets_ms = np.asarray(offsets_ms)
-    n = len(embeddings)
     d2 = ((embeddings[:, None, :] - embeddings[None, :, :]) ** 2).sum(axis=2)
-    same = (song_ids[:, None] == song_ids[None, :]) & (
-        np.abs(offsets_ms[:, None] - offsets_ms[None, :]) < pos_tolerance_ms
-    )
-    np.fill_diagonal(same, False)
-    anchors, positives, negatives = [], [], []
-    for i in range(n):
-        pos_idx = np.nonzero(same[i])[0]
-        if len(pos_idx) == 0:
-            continue
-        # different song, or same song far enough that windows do not overlap
-        neg_mask = (song_ids != song_ids[i]) | (np.abs(offsets_ms - offsets_ms[i]) >= 2000.0)
-        neg_mask[i] = False
-        neg_idx = np.nonzero(neg_mask)[0]
-        if len(neg_idx) == 0:
-            continue
-        j = pos_idx[np.argmax(d2[i, pos_idx])]
-        d_ap = d2[i, j]
-        semi = neg_idx[(d2[i, neg_idx] > d_ap) & (d2[i, neg_idx] < d_ap + margin)]
-        k = semi[np.argmin(d2[i, semi])] if len(semi) else neg_idx[np.argmin(d2[i, neg_idx])]
-        anchors.append(i)
-        positives.append(j)
-        negatives.append(k)
-    if not anchors:
+    same_song = song_ids[:, None] == song_ids[None, :]
+    apart = np.abs(offsets_ms[:, None] - offsets_ms[None, :])
+    pos = same_song & (apart < pos_tolerance_ms)
+    neg = ~same_song | (apart >= NEG_SEPARATION_MS)
+    np.fill_diagonal(pos, False)
+    np.fill_diagonal(neg, False)
+    anchors = np.flatnonzero(pos.any(axis=1) & neg.any(axis=1))
+    if not len(anchors):
         raise ValueError("no valid positive pair in batch")
-    return TripletBatch(np.array(anchors), np.array(positives), np.array(negatives))
+    d2, pos, neg = d2[anchors], pos[anchors], neg[anchors]
+    positives = np.where(pos, d2, -np.inf).argmax(axis=1)
+    d_ap = d2[np.arange(len(anchors)), positives][:, None]
+    semi = neg & (d2 > d_ap) & (d2 < d_ap + margin)
+    pick = np.where(semi.any(axis=1, keepdims=True), semi, neg)
+    negatives = np.where(pick, d2, np.inf).argmin(axis=1)
+    return TripletBatch(anchors, positives, negatives)
 
 
 # -------------------------------------------------------------- training

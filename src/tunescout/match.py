@@ -19,6 +19,7 @@ from .index import FingerprintIndex, SearchHit
 TOP_K = 20  # ANN hits per query step
 MAX_CANDIDATES = 20  # (song, alignment) candidates scored per phase
 K_DENSITY = 16  # a fingerprint's radius is the distance to this DB neighbour
+DENSITY_MEDIAN = 0.8349609375  # the desk DB's median radius (0.835 as float16), see density_scale
 EXCLUDE_S = 2  # same-song neighbours this close in time are not density
 RADIUS_FLOOR = 1e-3
 THETA_ABS = 0.40  # accept only above this score ...
@@ -94,13 +95,29 @@ def local_density(points: np.ndarray, song_ids: np.ndarray, offsets: np.ndarray,
     return np.maximum(r, RADIUS_FLOOR)
 
 
+def density_scale(radii: np.ndarray) -> float:
+    """DENSITY_MEDIAN / median(radii): the factor the matcher scales a DB's
+    radii by (store.Database.scale), so that a kernel exp(-d^2 / r^2) whose
+    radii shrink as the DB grows keeps the scale its thresholds were set on
+    (local scaling, Zelnik-Manor & Perona 2004). The desk DB's scale is
+    exactly 1.
+
+    The median is np.median's value, from np.partition: np.median's first
+    call in a process costs ~15 ms, more than the rest of loading a DB.
+    """
+    n = len(radii)
+    middle = np.partition(radii, [(n - 1) // 2, n // 2])[(n - 1) // 2 : n // 2 + 1]
+    return DENSITY_MEDIAN / float(middle.mean())
+
+
 def score_candidates(query_fps: np.ndarray, candidates: list[SequenceCandidate],
                      idx: FingerprintIndex, spans: dict[int, tuple[int, int]],
-                     radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                     radii: np.ndarray, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Scores of every candidate, with one decode of all aligned fingerprints.
 
     A candidate's score is the mean per-step similarity
-    exp(-||q - x~||^2 / r^2) over all query steps; steps whose alignment
+    exp(-||q - x~||^2 / r^2), r = scale * the aligned fingerprint's radius,
+    over all query steps; steps whose alignment
     falls outside the song contribute 0, so missing evidence penalizes the
     score. Unit radii give the fixed-radius baseline exp(-||q - x~||^2).
     Returns (scores (C,), aligned (C,)); a candidate with no step inside its
@@ -112,7 +129,7 @@ def score_candidates(query_fps: np.ndarray, candidates: list[SequenceCandidate],
     valid = (off >= 0) & (off < count[:, None])
     g = (start[:, None] + off)[valid]
     d2 = ((query_fps[np.nonzero(valid)[1]] - idx.decode(g)) ** 2).sum(axis=1)
-    r = radii[g]
+    r = radii[g] * scale
     sims = np.zeros(valid.shape)
     sims[valid] = np.exp(-d2 / (r * r))
     return sims.mean(axis=1), valid.any(axis=1)
@@ -146,7 +163,8 @@ def adaptive_accept(scored: list[MatchResult], theta_abs: float = THETA_ABS,
 
 
 def recognize_phases(phases: list[np.ndarray], idx: FingerprintIndex,
-                     spans: dict[int, tuple[int, int]], radii: np.ndarray) -> MatchResult:
+                     spans: dict[int, tuple[int, int]], radii: np.ndarray,
+                     scale: float = 1.0) -> MatchResult:
     """Full two-stage match of a query's phase hypotheses.
 
     One search_batch over every phase's fingerprints, then per phase
@@ -162,7 +180,7 @@ def recognize_phases(phases: list[np.ndarray], idx: FingerprintIndex,
     for fps in phases:
         candidates = collect_candidates(hits[pos : pos + len(fps)])
         pos += len(fps)
-        scores, aligned = score_candidates(fps, candidates, idx, spans, radii)
+        scores, aligned = score_candidates(fps, candidates, idx, spans, radii, scale)
         result = adaptive_accept([
             MatchResult(song_id=c.song_id, offset_s=c.start_offset, score=float(s),
                         accepted=False, runner_up_score=0.0)

@@ -85,66 +85,73 @@ def dense_bwd(x, w, dy):
 
 # ------------------------------------------------------------- batch norm
 
-def batchnorm(x, gamma, beta, running_mean, running_var, train):
-    """Per-channel batch norm over the last axis.
+BN_TENSORS = ("gamma", "beta", "mean", "var")  # a batch-norm layer's tensors, after its prefix
 
-    Returns (y, cache, new_running_mean, new_running_var). In train mode the
-    batch statistics are used and the running stats updated; in eval mode
-    the running stats are used and returned unchanged.
+
+def batchnorm(x, t, prefix, train):
+    """Per-channel batch norm over the last axis, with the tensors t[prefix + k]
+    for k in BN_TENSORS.
+
+    Returns (y, cache). In train mode the batch statistics are used and the
+    running ones in t are replaced by their update, in their dtype; in eval
+    mode the running statistics are used and t is left as it is.
     """
-    flat = x.reshape(-1, x.shape[-1])
+    gamma, beta, running_mean, running_var = (t[prefix + k] for k in BN_TENSORS)
     if train:
-        mu = flat.mean(axis=0)
-        var = flat.var(axis=0)
-        rm = (1 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mu
-        rv = (1 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
+        flat = x.reshape(-1, x.shape[-1])
+        mu, var = flat.mean(axis=0), flat.var(axis=0)
+        for k, old, new in (("mean", running_mean, mu), ("var", running_var, var)):
+            t[prefix + k] = ((1 - BN_MOMENTUM) * old + BN_MOMENTUM * new).astype(old.dtype)
     else:
         mu, var = running_mean, running_var
-        rm, rv = running_mean, running_var
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x - mu) * inv
     y = gamma * xhat + beta
-    cache = (xhat, inv, train, flat.shape[0])
-    return y, cache, rm, rv
+    return y, (prefix, gamma, xhat, inv, train)
 
 
-def fold_bn(w, b, gamma, beta, mean, var):
-    """Eval-mode batch norm after a layer x @ w + b, folded into that layer.
+def fold_bn(w, b, t, prefix):
+    """Eval-mode batch norm t[prefix + ...] after a layer x @ w + b, folded
+    into that layer.
 
     Returns (w * s, (b - mean) * s + beta) with s = gamma / sqrt(var + eps),
     scaling w's last (output) axis, in the tensors' dtype.
     """
+    gamma, beta, mean, var = (t[prefix + k] for k in BN_TENSORS)
     s = gamma / np.sqrt(var + BN_EPS)
     return w * s, (b - mean) * s + beta
 
 
-def batchnorm_bwd(dy, gamma, cache):
-    xhat, inv, train, n = cache
+def batchnorm_bwd(dy, cache):
+    """Gradients of batchnorm: (dx, {prefix + "gamma": ..., prefix + "beta": ...})."""
+    prefix, gamma, xhat, inv, train = cache
     dgamma = (dy * xhat).reshape(-1, dy.shape[-1]).sum(axis=0)
     dbeta = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
+    grads = {prefix + "gamma": dgamma, prefix + "beta": dbeta}
     if not train:
-        return dy * gamma * inv, dgamma, dbeta
+        return dy * gamma * inv, grads
     dxhat = dy * gamma
     flat_dxhat = dxhat.reshape(-1, dy.shape[-1])
     flat_xhat = xhat.reshape(-1, dy.shape[-1])
     mean_dxhat = flat_dxhat.mean(axis=0)
     mean_dxhat_xhat = (flat_dxhat * flat_xhat).mean(axis=0)
     dx = inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
-    return dx, dgamma, dbeta
+    return dx, grads
 
 
 # ----------------------------------------------- depthwise conv1d (valid)
 
 def dwconv1d(x, w, stride=2):
-    """Per-channel 1-D convolution, valid padding.
+    """Per-channel 1-D convolution, valid padding, along axis -2.
 
-    x: (B, L, C), w: (k, C) -> (B, Lout, C) with Lout = (L - k)//stride + 1.
+    x: (..., L, C), w: (k, C) -> (..., Lout, C) with
+    Lout = max(0, (L - k)//stride + 1): empty for an input shorter than k.
     """
     k = w.shape[0]
-    l_out = (x.shape[1] - k) // stride + 1
-    y = np.zeros((x.shape[0], l_out, x.shape[2]), dtype=x.dtype)
-    for j in range(k):
-        y += x[:, j : j + stride * (l_out - 1) + 1 : stride, :] * w[j]
+    span = stride * max(0, (x.shape[-2] - k) // stride + 1)
+    y = x[..., :span:stride, :] * w[0]
+    for j in range(1, k):
+        y += x[..., j : j + span : stride, :] * w[j]
     return y
 
 

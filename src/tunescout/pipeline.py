@@ -154,10 +154,13 @@ def embedder_training_set(cfg: CorpusConfig, n_songs: int | None = None,
 
     Returns (windows (N, frames, mels), song_ids, offsets_ms). Alignment is
     known by construction: noisy copies are the same song mixed with noise,
-    so a window at the same frame offset is a positive pair.
+    so a window at the same frame offset is a positive pair. n_songs None
+    takes every song of the corpus.
     """
     topo = topo or EmbedderTopology()
-    n_songs = min(n_songs or cfg.n_songs, cfg.n_songs)
+    if n_songs is not None and n_songs < 1:
+        raise ValueError(f"n_songs must be >= 1, got {n_songs}")
+    n_songs = cfg.n_songs if n_songs is None else min(n_songs, cfg.n_songs)
     rng = np.random.default_rng([cfg.seed, 555, seed])
     windows, song_ids, offsets_ms = [], [], []
     for song in range(n_songs):
@@ -221,7 +224,7 @@ def recognize_frames(db: store_mod.Database, frames: np.ndarray,
     phases = fingerprint_phases(frames, weights)
     if not phases:
         raise ValueError("audio shorter than one fingerprint window")
-    best = match_mod.recognize_phases(phases, db.index, db.spans, db.radii)
+    best = match_mod.recognize_phases(phases, db.index, db.spans, db.radii, db.scale)
     best.title = db.title_of(best.song_id)
     return best
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DbBoundsError, DbChecksumError, DbMagicError, DbVersionError
 from .index import (COVERAGE, PQ_CENTROIDS, FingerprintIndex, PartitionerModel, PQCodebook,
                     compression_ratio, encode_index)
-from .match import local_density
+from .match import density_scale, local_density
 
 MAGIC = b"NPDB"
 VERSION = 1
@@ -46,12 +46,19 @@ class SongRecord:
 
 
 class Database:
-    """Loaded (or freshly built) database handle: immutable after creation."""
+    """Loaded (or freshly built) database handle: immutable after creation.
 
-    def __init__(self, songs: list[SongRecord], index: FingerprintIndex, radii: np.ndarray):
+    radii are the stored density radii; the matcher scores with
+    radii * scale. build_database and load_db pass match.density_scale(radii);
+    the default 1 scores with the radii as given.
+    """
+
+    def __init__(self, songs: list[SongRecord], index: FingerprintIndex, radii: np.ndarray,
+                 scale: float = 1.0):
         self.songs = songs
         self.index = index
         self.radii = np.asarray(radii, dtype=np.float64)
+        self.scale = scale
         self.spans = {s.song_id: (s.fp_start, s.fp_count) for s in songs}
         self.by_id = {s.song_id: s for s in songs}
 
@@ -124,7 +131,7 @@ def build_database(song_entries: list[tuple[SongRecord, np.ndarray]],
     # round-trip through the stored float16 form so a fresh build scores
     # identically to a loaded one
     radii = radii.astype(np.float16).astype(np.float64)
-    return Database(songs, idx, radii)
+    return Database(songs, idx, radii, density_scale(radii))
 
 
 def _songs_blob(songs: list[SongRecord]) -> bytes:
@@ -196,7 +203,7 @@ def load_db(data: bytes, coverage: float = COVERAGE) -> Database:
     _, version, d, m, p, n_songs, n_fps = struct.unpack_from(_HEADER, data, 0)
     if version != VERSION:
         raise DbVersionError(f"unsupported version {version}")
-    if m < 1 or d % m != 0 or p < 1 or n_songs > n_fps:
+    if m < 1 or d % m != 0 or p < 1 or not 1 <= n_songs <= n_fps:
         raise DbBoundsError(f"inconsistent header: d={d}, M={m}, P={p}, "
                             f"{n_songs} songs, {n_fps} fingerprints")
     table = []
@@ -228,15 +235,20 @@ def load_db(data: bytes, coverage: float = COVERAGE) -> Database:
         raise DbBoundsError(f"song spans do not cover the code array of {n_fps} fingerprints")
     song_ids = np.empty(n_fps, dtype=np.int32)
     offsets = np.empty(n_fps, dtype=np.int32)
-    pos = 0
+    pos, prev_id = 0, -1
     for s in songs:
+        if s.song_id <= prev_id:
+            raise DbBoundsError(f"song ids are not strictly increasing: {s.song_id} after {prev_id}")
+        prev_id = s.song_id
         if s.fp_start != pos:
             raise DbBoundsError(f"song {s.song_id} span not back-to-back")
         song_ids[pos : pos + s.fp_count] = s.song_id
         offsets[pos : pos + s.fp_count] = np.arange(s.fp_count)
         pos += s.fp_count
+    if not (radii.min() > 0 and radii.max() < np.inf):  # a NaN fails the first test
+        raise DbBoundsError("density radii must be finite and > 0")
     idx = FingerprintIndex(
         PartitionerModel(centroids=centroids.copy()), PQCodebook(centroids=cb.copy()),
         codes.copy(), pids, song_ids, offsets, coverage=coverage,
     )
-    return Database(songs, idx, radii)
+    return Database(songs, idx, radii, density_scale(radii))

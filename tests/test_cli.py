@@ -16,7 +16,7 @@ from tunescout.corpus import CorpusConfig, MusicRegion, ambient_audio, song_audi
 from tunescout.detector import fold_batchnorm
 from tunescout.embedder import init_weights as emb_init
 from tunescout.frontend import encode_wav
-from tunescout.pipeline import PipelineConfig
+from tunescout.pipeline import PipelineConfig, embedder_training_set
 
 SR = 16000
 
@@ -210,6 +210,20 @@ def test_train_writes_the_q8_model_quantized_once(workdir, tmp_path):
     for name, x in folded.tensors.items():
         expected = weights_io.dequantize_tensor(*weights_io.quantize_tensor(x))
         assert q8.tensors[name].tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("command", ["train", "eval-pr"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_train_songs_below_one_is_an_error(workdir, tmp_path, capsys, command, n):
+    # 0 used to train on every song, and -3 died in numpy's stack
+    out = ["--out", str(tmp_path)] if command == "train" else []
+    rc = cli.main([command, "--corpus", workdir["corpus"], "--train-songs", n,
+                   "--steps", "1", "--config", workdir["cfg"], *out])
+    stdout, err = capsys.readouterr()
+    assert rc == 2 and stdout == ""
+    assert err.strip().splitlines() == ["error: --train-songs must be >= 1"]
+    with pytest.raises(ValueError, match="n_songs must be >= 1"):
+        embedder_training_set(workdir["corpus_cfg"], n_songs=int(n))
 
 
 def test_eval_pr_csv(workdir, capsys):

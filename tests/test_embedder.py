@@ -458,6 +458,74 @@ def test_mining_no_positive_pair_raises():
         mine_triplets(emb, np.array([0, 1, 2]), np.array([0.0, 0.0, 0.0]))
 
 
+def _mine_triplets_loop(emb, songs, offs, pos_tolerance_ms=300.0, margin=0.4):
+    """Per-anchor reference for mine_triplets: (anchors, positives, negatives)."""
+    d2 = ((emb[:, None, :] - emb[None, :, :]) ** 2).sum(axis=2)
+    anchors, positives, negatives = [], [], []
+    for i in range(len(emb)):
+        pos_idx = [j for j in range(len(emb))
+                   if j != i and songs[j] == songs[i] and abs(offs[j] - offs[i]) < pos_tolerance_ms]
+        neg_idx = [k for k in range(len(emb))
+                   if k != i and (songs[k] != songs[i] or abs(offs[k] - offs[i]) >= 2000.0)]
+        if not pos_idx or not neg_idx:
+            continue
+        j = max(pos_idx, key=lambda c: (d2[i, c], -c))  # farthest, lowest index on ties
+        semi = [k for k in neg_idx if d2[i, j] < d2[i, k] < d2[i, j] + margin]
+        k = min(semi or neg_idx, key=lambda c: (d2[i, c], c))  # nearest, lowest index on ties
+        anchors.append(i)
+        positives.append(j)
+        negatives.append(k)
+    return anchors, positives, negatives
+
+
+def _mining_batch(seed):
+    """Embeddings on a coarse grid, so that many distances tie, and few songs
+    with spread offsets, so that some anchors have no positive and some no
+    semi-hard negative."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 40))
+    emb = (rng.integers(-2, 3, size=(n, 4)) / 2).astype(np.float32)
+    songs = rng.integers(0, int(rng.integers(1, 5)), size=n)
+    offs = rng.choice([0.0, 100.0, 250.0, 400.0, 2100.0, 5000.0], size=n)
+    return emb, songs, offs
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_mining_equals_per_anchor_loop(seed):
+    emb, songs, offs = _mining_batch(seed)
+    ref = _mine_triplets_loop(emb, songs, offs)
+    if not ref[0]:
+        with pytest.raises(ValueError):
+            mine_triplets(emb, songs, offs)
+        return
+    got = mine_triplets(emb, songs, offs)
+    assert [got.anchors.tolist(), got.positives.tolist(), got.negatives.tolist()] == \
+        [list(x) for x in ref]
+
+
+def test_mining_batches_cover_the_cases():
+    # the batches of test_mining_equals_per_anchor_loop hold anchors with no
+    # positive, with tied farthest positives and with no semi-hard negative
+    cases = set()
+    for seed in range(40):
+        emb, songs, offs = _mining_batch(seed)
+        d2 = ((emb[:, None, :] - emb[None, :, :]) ** 2).sum(axis=2)
+        for i in range(len(emb)):
+            others = np.arange(len(emb)) != i
+            same, apart = songs == songs[i], np.abs(offs - offs[i])
+            pos = others & same & (apart < 300)
+            neg = others & (~same | (apart >= 2000))
+            if not pos.any():
+                cases.add("no positive")
+                continue
+            far = d2[i, pos].max()
+            if (d2[i, pos] == far).sum() > 1:
+                cases.add("tied positives")
+            if neg.any() and not ((d2[i, neg] > far) & (d2[i, neg] < far + 0.4)).any():
+                cases.add("no semi-hard negative")
+    assert cases == {"no positive", "tied positives", "no semi-hard negative"}
+
+
 # --------------------------------------------------------------- training
 
 def _synthetic_windows(n_songs=12, views=6, seed=0):

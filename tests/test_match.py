@@ -8,6 +8,7 @@ from index_helper import build_index
 
 from tunescout.index import SearchHit
 from tunescout.match import (
+    DENSITY_MEDIAN,
     K_DENSITY,
     MAX_CANDIDATES,
     QUERY_PHASES,
@@ -19,6 +20,7 @@ from tunescout.match import (
     SequenceCandidate,
     adaptive_accept,
     collect_candidates,
+    density_scale,
     local_density,
     recognize,
     recognize_phases,
@@ -345,3 +347,26 @@ def test_recognize_deterministic(small_db):
     a = recognize(q, idx, spans, radii)
     b = recognize(q.copy(), idx, spans, radii)
     assert a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 1001])
+def test_density_scale_divides_by_the_numpy_median(n):
+    radii = np.random.default_rng(n).uniform(0.3, 1.2, n).astype(np.float16).astype(np.float64)
+    assert density_scale(radii) == DENSITY_MEDIAN / np.median(radii)
+
+
+def test_density_scale_brings_the_median_radius_to_the_desk_median():
+    radii = np.array([0.3, 0.5, DENSITY_MEDIAN, 1.0, 2.0])
+    assert density_scale(radii) == 1.0  # the desk DB scores with its radii as stored
+    assert density_scale(radii / 2) == 2.0
+    shrunk = radii * 0.777
+    assert np.median(shrunk * density_scale(shrunk)) == pytest.approx(DENSITY_MEDIAN, rel=1e-12)
+
+
+def test_scale_multiplies_the_radii_of_the_scored_fingerprints(small_db):
+    idx, spans, radii = small_db
+    q = idx.decode(np.arange(spans[2][0] + 3, spans[2][0] + 9)) + 0.05
+    cands = collect_candidates(idx.search_batch(q, TOP_K))
+    for scale in (0.5, 1.0, 1.7):
+        assert np.array_equal(score_candidates(q, cands, idx, spans, radii, scale)[0],
+                              score_candidates(q, cands, idx, spans, radii * scale)[0])

@@ -16,6 +16,7 @@ from tunescout.embedder import init_weights as emb_init
 from tunescout.errors import ConfigError
 from tunescout.frontend import HOP_MS, HOP_S, PcmStream, log_mel_frames
 from tunescout.index import COVERAGE
+from tunescout.match import recognize_phases
 from tunescout.pipeline import (
     IndexConfig,
     PipelineConfig,
@@ -23,6 +24,7 @@ from tunescout.pipeline import (
     embedder_training_set,
     fingerprint_phases,
     fingerprint_wave,
+    recognize_frames,
     recognize_pcm,
     stream_file,
 )
@@ -205,6 +207,15 @@ def test_wakeup_match_equals_recognize_pcm_on_aligned_samples(stream_run):
         assert event["match"] == recognize_pcm(db, PcmStream(samples, 16000), WEIGHTS).to_dict()
     assert stream_run["report"]["duty_cycle"] == pytest.approx(
         sum(len(_wakeup_samples(pcm, i, buffer_len_s)) for i in FIRE_INDICES) / len(pcm.samples))
+
+
+def test_recognition_scores_with_the_db_scaled_radii(stream_run):
+    db, frames = stream_run["db"], stream_run["buffers"][0]
+    assert db.scale != 1.0
+    phases = fingerprint_phases(frames, WEIGHTS)
+    got = recognize_frames(db, frames, WEIGHTS)
+    assert got.score == recognize_phases(phases, db.index, db.spans, db.radii * db.scale).score
+    assert got.score != recognize_phases(phases, db.index, db.spans, db.radii).score
 
 
 def test_fire_index_98_gets_the_on_grid_buffer(stream_run):

@@ -14,7 +14,8 @@ from tunescout.errors import (
     DbVersionError,
 )
 from tunescout.index import pq_decode, train_partitioner, train_pq
-from tunescout.store import SongRecord, build_database, load_db, serialize
+from tunescout.match import DENSITY_MEDIAN
+from tunescout.store import Database, SongRecord, build_database, load_db, serialize
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +180,37 @@ def test_loaded_db_scores_identically(db, blob):
     # radii round-trip through float16 at build time, so scoring parity holds
     loaded = load_db(blob)
     assert np.array_equal(loaded.radii, db.radii)
+    assert loaded.scale == db.scale
+
+
+def test_file_keeps_the_raw_radii_and_the_db_scales_them_to_the_desk_median(db, blob):
+    assert db.scale == DENSITY_MEDIAN / np.median(db.radii) != 1.0
+    assert np.array_equal(load_db(blob).radii, db.radii)
+    # a DB made directly, like evaluation's naive baseline, scores with the radii it is given
+    assert Database(db.songs, db.index, np.ones(db.index.n_points)).scale == 1.0
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, np.inf, np.nan])
+def test_radius_that_is_not_finite_and_positive_is_bounds_error(db, bad):
+    radii = db.radii.copy()
+    radii[7] = bad
+    with pytest.raises(DbBoundsError, match="radii"):
+        load_db(serialize(Database(db.songs, db.index, radii)))
+
+
+def test_repeated_song_id_is_bounds_error(db):
+    songs = list(db.songs)
+    s = songs[3]
+    songs[3] = SongRecord(songs[2].song_id, s.title, s.artist, s.duration_s, s.fp_start, s.fp_count)
+    with pytest.raises(DbBoundsError, match="strictly increasing"):
+        load_db(serialize(Database(songs, db.index, db.radii)))
+
+
+def test_file_without_songs_is_bounds_error():
+    d, m, p = 16, 2, 4
+    sections = [b"", b"", b"", bytes(p * d * 4), bytes(m * 256 * (d // m) * 4), b""]
+    with pytest.raises(DbBoundsError, match="inconsistent header"):
+        load_db(_packed(d, m, p, 0, 0, sections))
 
 
 def test_storage_report_payload_ratio_vs_d128():
